@@ -37,7 +37,6 @@ from .thermo import (
     canonical_scalars,
     check_eq3,
     ensemble_from_decomposition,
-    ground_weight,
     rel_entropy_pure_to_thermal,
     thermal_ensemble,
 )
@@ -70,8 +69,6 @@ from .gas import (
     default_fit_window,
     fit_entropy_scaling,
     fit_power_law,
-    gas_entropy,
-    gas_free_energy,
     gas_state,
     geometric_frequency_scale,
     mb_witness_check,

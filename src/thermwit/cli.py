@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
 from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state, make_spectrum
-from .qops import DimensionCapError, HermitianOperator
+from .qops import DimensionCapError
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -32,6 +31,9 @@ EXIT_SELFCHECK = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+
+#: What a data subcommand returns: the JSON body and the CSV rows (header first).
+Payload = tuple[dict, list[list]]
 
 
 class ConfigError(ValueError):
@@ -46,25 +48,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model_path: str | None = None
-    spectrum_spec: str | None = None
-    temps: str | None = None
-    seed: int = 42
-    out: str | None = None
-    format: str = "csv"
-    restarts: int = 32
-    tol: float = 1e-4
-    max_iter: int = 500
-    upper: bool = False
-    tstar_tol: float = 1e-6
-    fit_window: str | None = None
-    energy_per_particle: float = 1.0
-    corrupt: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +68,29 @@ def parse_temps(spec: str) -> list[float]:
         raise ConfigError(f"bad --temps scale {parts[3]!r}; only 'log' is supported")
     if count < 1 or lo <= 0 or (count > 1 and hi <= lo):
         raise ConfigError(f"bad --temps {spec!r}: need lo > 0, hi > lo, count >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad --temps {spec!r}: lo and hi must be finite")
     if count == 1:
         return [lo]
-    if len(parts) == 4:
-        return [float(t) for t in np.geomspace(lo, hi, count)]
-    return [float(t) for t in np.linspace(lo, hi, count)]
+    space = np.geomspace if len(parts) == 4 else np.linspace
+    return [float(t) for t in space(lo, hi, count)]
 
 
-def load_model(path: str) -> SpinModelSpec:
+def _read_json(path: str, what: str):
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigError(f"model file not found: {path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+
+
+def load_model(path: str) -> SpinModelSpec:
+    raw = _read_json(path, "model")
     if not isinstance(raw, dict):
         raise ConfigError(f"model file {path} must hold a JSON object")
     known = {"kind", "n_sites", "coupling", "J", "field", "h", "boundary", "custom_terms"}
@@ -109,9 +99,6 @@ def load_model(path: str) -> SpinModelSpec:
         raise ConfigError(f"unknown model keys {sorted(extra)} in {path}")
     if "kind" not in raw or "n_sites" not in raw:
         raise ConfigError(f"model file {path} needs 'kind' and 'n_sites'")
-    terms = raw.get("custom_terms")
-    if terms is not None:
-        terms = tuple((tuple(t[0]), str(t[1]), float(t[2])) for t in terms)
     try:
         return SpinModelSpec(
             kind=raw["kind"],
@@ -119,7 +106,7 @@ def load_model(path: str) -> SpinModelSpec:
             coupling=float(raw.get("coupling", raw.get("J", 1.0))),
             field=float(raw.get("field", raw.get("h", 0.0))),
             boundary=raw.get("boundary", "open"),
-            custom_terms=terms,
+            custom_terms=raw.get("custom_terms"),
         )
     except DimensionCapError:
         raise
@@ -127,8 +114,11 @@ def load_model(path: str) -> SpinModelSpec:
         raise ConfigError(f"invalid model in {path}: {exc}") from exc
 
 
-_GEN_FLOATS = {"omega", "velocity", "particle_target", "chemical_potential"}
-_GEN_INTS = {"n_modes"}
+#: Generator parameters and the conversion of their values.
+_GEN_PARAMS = {
+    "omega": float, "velocity": float, "particle_target": float,
+    "chemical_potential": float, "n_modes": int, "statistics": str.strip,
+}
 
 
 def load_spectrum(spec: str) -> ModeSpectrum:
@@ -137,33 +127,20 @@ def load_spectrum(spec: str) -> ModeSpectrum:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise ConfigError(f"bad generator spec {spec!r}; expected gen:kind:k=v,...")
-        kind = parts[1]
         kwargs: dict = {}
         for item in parts[2].split(","):
             if "=" not in item:
                 raise ConfigError(f"bad generator parameter {item!r} in {spec!r}")
             key, value = item.split("=", 1)
             key = key.strip()
-            if key in _GEN_FLOATS:
-                kwargs[key] = float(value)
-            elif key in _GEN_INTS:
-                kwargs[key] = int(value)
-            elif key == "statistics":
-                kwargs[key] = value.strip()
-            else:
+            if key not in _GEN_PARAMS:
                 raise ConfigError(f"unknown generator parameter {key!r} in {spec!r}")
+            kwargs[key] = _GEN_PARAMS[key](value)
         try:
-            return make_spectrum(kind, **kwargs)
+            return make_spectrum(parts[1], **kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid spectrum spec {spec!r}: {exc}") from exc
-    try:
-        raw = json.loads(Path(spec).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"spectrum file not found: {spec}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {spec}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
+    raw = _read_json(spec, "spectrum")
     if not isinstance(raw, dict) or "frequencies" not in raw or "statistics" not in raw:
         raise ConfigError(f"spectrum file {spec} needs 'frequencies' and 'statistics'")
     try:
@@ -178,96 +155,59 @@ def load_spectrum(spec: str) -> ModeSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# output
+# data subcommands: each returns one Payload
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None, stream: TextIO) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
+def _emit(args: argparse.Namespace, body: dict, rows: list[list]) -> int:
+    """Emit ``body`` as JSON or ``rows`` as CSV, to ``--out`` or stdout."""
+    if args.format == "json":
+        text = json.dumps(body, indent=2) + "\n"
     else:
-        stream.write(text)
-
-
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence], footer: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for row in footer:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def run_spin_sweep(cfg: RunConfig, stream: TextIO = sys.stdout) -> int:
-    if not cfg.model_path or not cfg.temps:
-        raise ConfigError("spin-sweep needs --model and --temps")
-    spec = load_model(cfg.model_path)
-    h = build_spin_hamiltonian(spec)
-    grid = parse_temps(cfg.temps)
-    fw = FrankWolfeConfig(
-        max_iter=cfg.max_iter, tol=cfg.tol, seed=child_seed(cfg.seed, "spin-sweep-fw")
-    )
-    result = witness.sweep(
-        h, grid, compute_upper=cfg.upper, fw_config=fw, t_star_tol=cfg.tstar_tol
-    )
-    if cfg.format == "json":
-        payload = {
-            "command": "spin-sweep",
-            "seed": cfg.seed,
-            "reports": [
-                {
-                    "T": r.T,
-                    "S": r.S,
-                    "p": r.p,
-                    "neg_ln_p": r.neg_ln_p,
-                    "E_lower": r.E_lower,
-                    "E_upper": r.E_upper,
-                    "eq2_fires": r.eq2_fires,
-                    "eq4_fires": r.eq4_fires,
-                    "ground_degeneracy": r.ground_degeneracy,
-                }
-                for r in result.reports
-            ],
-            "T_star_eq2": result.T_star_eq2,
-            "T_star_eq4": result.T_star_eq4,
-        }
-        _emit(_json_text(payload), cfg.out, stream)
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
-        header = ["T", "S", "p", "neg_ln_p", "E_lower", "E_upper", "eq2_fires", "eq4_fires"]
-        rows = [
-            [r.T, r.S, r.p, r.neg_ln_p, r.E_lower, r.E_upper, r.eq2_fires, r.eq4_fires]
-            for r in result.reports
-        ]
-        footer = [
-            ["T_star_eq2", result.T_star_eq2],
-            ["T_star_eq4", result.T_star_eq4],
-        ]
-        _emit(_csv_lines(header, rows, footer), cfg.out, stream)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
-def run_gas_scan(cfg: RunConfig, stream: TextIO = sys.stdout) -> int:
-    if not cfg.spectrum_spec or not cfg.temps:
-        raise ConfigError("gas-scan needs --spectrum and --temps")
-    spectrum = load_spectrum(cfg.spectrum_spec)
-    grid = parse_temps(cfg.temps)
-    try:
-        states = [gas.gas_state(spectrum, t) for t in grid]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _fw_config(args: argparse.Namespace, stream: str, **kwargs) -> FrankWolfeConfig:
+    return FrankWolfeConfig(
+        max_iter=args.max_iter, tol=args.tol, seed=child_seed(args.seed, stream), **kwargs
+    )
 
-    if cfg.fit_window:
+
+def run_spin_sweep(args: argparse.Namespace) -> Payload:
+    h = build_spin_hamiltonian(load_model(args.model))
+    grid = parse_temps(args.temps)
+    result = witness.sweep(h, grid, compute_upper=args.upper, t_star_tol=args.tstar_tol,
+                           fw_config=_fw_config(args, "spin-sweep-fw"))
+    body = {
+        "command": "spin-sweep",
+        "seed": args.seed,
+        "reports": [vars(r) for r in result.reports],  # every WitnessReport field, in order
+        "T_star_eq2": result.T_star_eq2,
+        "T_star_eq4": result.T_star_eq4,
+    }
+    rows = [["T", "S", "p", "neg_ln_p", "E_lower", "E_upper", "eq2_fires", "eq4_fires"]]
+    rows += (
+        [r.T, r.S, r.p, r.neg_ln_p, r.E_lower, r.E_upper, r.eq2_fires, r.eq4_fires]
+        for r in result.reports
+    )
+    rows += [["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]
+    return body, rows
+
+
+def run_gas_scan(args: argparse.Namespace) -> Payload:
+    spectrum = load_spectrum(args.spectrum)
+    grid = parse_temps(args.temps)
+    states = [gas.gas_state(spectrum, t) for t in grid]
+
+    if args.fit_window:
         try:
-            lo, hi = (float(v) for v in cfg.fit_window.split(":"))
+            lo, hi = (float(v) for v in args.fit_window.split(":"))
         except ValueError as exc:
-            raise ConfigError(f"bad --fit-window {cfg.fit_window!r}; expected lo:hi") from exc
+            raise ConfigError(f"bad --fit-window {args.fit_window!r}; expected lo:hi") from exc
     else:
         lo, hi = gas.default_fit_window(spectrum)
     in_window = [t for t in grid if lo <= t <= hi]
@@ -277,116 +217,73 @@ def run_gas_scan(cfg: RunConfig, stream: TextIO = sys.stdout) -> int:
             "need at least 8 (adjust --temps or --fit-window)"
         )
     fit = gas.fit_entropy_scaling(spectrum, in_window)
-    t_star = gas.critical_temperature_estimate(fit, cfg.energy_per_particle)
+    t_star = gas.critical_temperature_estimate(fit, args.energy_per_particle)
+    header = ["T", "mu", "S", "F", "N_actual"]
+    state_rows = [[s.T, s.mu, s.S, s.F, s.N_actual] for s in states]
+    body = {
+        "command": "gas-scan",
+        "seed": args.seed,
+        "rows": [dict(zip(header, row)) for row in state_rows],
+        "fit": {
+            "p_fit": fit.exponent,
+            "omega_tilde": fit.omega_tilde,
+            "r_squared": fit.r_squared,
+            "T_window": list(fit.T_window),
+            "n_reference": fit.n_reference,
+            "T_star": t_star,
+        },
+        "mb": None,
+    }
+    rows = [header, *state_rows, ["p_fit", fit.exponent], ["omega_tilde", fit.omega_tilde],
+            ["r_squared", fit.r_squared], ["T_star", t_star]]
 
-    # classical-regime block, only when the grid reaches the geometric scale
-    if spectrum.particle_target is not None:
-        n_mb = float(spectrum.particle_target)
-    else:
-        n_mb = float(np.mean([s.N_actual for s in states]))
+    # classical-regime block, only when the grid reaches the geometric scale;
+    # a particle target is always positive, so `or` picks it when it is set
+    n_mb = float(spectrum.particle_target or np.mean([s.N_actual for s in states]))
     omega_g = gas.geometric_frequency_scale(spectrum, n_mb)
     classical_ts = [t for t in grid if t >= omega_g]
-    mb_fires_any = None
     if classical_ts:
-        mb_fires_any = any(
-            gas.mb_witness_check(spectrum, n_mb, t).fires for t in classical_ts
-        )
-
-    if cfg.format == "json":
-        payload = {
-            "command": "gas-scan",
-            "seed": cfg.seed,
-            "rows": [
-                {"T": s.T, "mu": s.mu, "S": s.S, "F": s.F, "N_actual": s.N_actual}
-                for s in states
-            ],
-            "fit": {
-                "p_fit": fit.exponent,
-                "omega_tilde": fit.omega_tilde,
-                "r_squared": fit.r_squared,
-                "T_window": list(fit.T_window),
-                "n_reference": fit.n_reference,
-                "T_star": t_star,
-            },
-            "mb": None
-            if mb_fires_any is None
-            else {
-                "omega_tilde_g": omega_g,
-                "n_particles": n_mb,
-                "fires_any": mb_fires_any,
-                "points": len(classical_ts),
-            },
+        fires_any = any(gas.mb_witness_check(spectrum, n_mb, t).fires for t in classical_ts)
+        body["mb"] = {
+            "omega_tilde_g": omega_g,
+            "n_particles": n_mb,
+            "fires_any": fires_any,
+            "points": len(classical_ts),
         }
-        _emit(_json_text(payload), cfg.out, stream)
-    else:
-        header = ["T", "mu", "S", "F", "N_actual"]
-        rows = [[s.T, s.mu, s.S, s.F, s.N_actual] for s in states]
-        footer = [
-            ["p_fit", fit.exponent],
-            ["omega_tilde", fit.omega_tilde],
-            ["r_squared", fit.r_squared],
-            ["T_star", t_star],
-        ]
-        if mb_fires_any is not None:
-            footer.append(["mb_omega_tilde_g", omega_g])
-            footer.append(["mb_fires_any", mb_fires_any])
-        _emit(_csv_lines(header, rows, footer), cfg.out, stream)
-    return EXIT_OK
+        rows += [["mb_omega_tilde_g", omega_g], ["mb_fires_any", fires_any]]
+    return body, rows
 
 
-def run_ree(cfg: RunConfig, stream: TextIO = sys.stdout) -> int:
-    if not cfg.model_path:
-        raise ConfigError("ree needs --model")
-    spec = load_model(cfg.model_path)
-    h = build_spin_hamiltonian(spec)
-    gs = ground_state(h)
+def _record(args: argparse.Namespace, **fields) -> Payload:
+    """Single-record payload: one CSV row under a header of the field names."""
+    body = {"command": args.command, "seed": args.seed, **fields}
+    return body, [list(body), list(body.values())]
+
+
+def run_ree(args: argparse.Namespace) -> Payload:
+    gs = ground_state(build_spin_hamiltonian(load_model(args.model)))
     lower = ree_lower_bound(gs.state)
-    fw = FrankWolfeConfig(
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        restarts=max(1, cfg.restarts),
-        seed=child_seed(cfg.seed, "ree-fw"),
-    )
+    fw = _fw_config(args, "ree-fw", restarts=max(1, args.restarts))
     upper = ree_upper_bound(gs.state.to_density(), fw)
-    payload = {
-        "command": "ree",
-        "seed": cfg.seed,
-        "E0": gs.energy,
-        "ground_degeneracy": gs.degeneracy,
-        "E_lower": lower.lower,
-        "lower_method": lower.method,
-        "E_upper": upper.upper,
-        "upper_iterations": upper.iterations,
-        "upper_converged": upper.converged,
-    }
-    if cfg.format == "json":
-        _emit(_json_text(payload), cfg.out, stream)
-    else:
-        _emit(_csv_lines(list(payload), [list(payload.values())], []), cfg.out, stream)
-    return EXIT_OK
+    return _record(
+        args,
+        E0=gs.energy,
+        ground_degeneracy=gs.degeneracy,
+        E_lower=lower.lower,
+        lower_method=lower.method,
+        E_upper=upper.upper,
+        upper_iterations=upper.iterations,
+        upper_converged=upper.converged,
+    )
 
 
-def run_energy_witness(cfg: RunConfig, stream: TextIO = sys.stdout) -> int:
-    if not cfg.model_path:
-        raise ConfigError("energy-witness needs --model")
-    spec = load_model(cfg.model_path)
-    h = build_spin_hamiltonian(spec)
+def run_energy_witness(args: argparse.Namespace) -> Payload:
+    h = build_spin_hamiltonian(load_model(args.model))
     gs = ground_state(h)
     res = energy_witness(
-        h, gs.energy, restarts=cfg.restarts, seed=child_seed(cfg.seed, "energy-witness")
+        h, gs.energy, restarts=args.restarts, seed=child_seed(args.seed, "energy-witness")
     )
-    payload = {
-        "command": "energy-witness",
-        "seed": cfg.seed,
-        "E0": gs.energy,
-        "sep_min": res.sep_min,
-        "entangled": res.entangled,
-    }
-    if cfg.format == "json":
-        _emit(_json_text(payload), cfg.out, stream)
-    else:
-        _emit(_csv_lines(list(payload), [list(payload.values())], []), cfg.out, stream)
-    return EXIT_OK
+    return _record(args, E0=gs.energy, sep_min=res.sep_min, entangled=res.entangled)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +367,15 @@ def _selfcheck_properties(seed: int):
 
 
 def run_selfcheck(
-    seed: int = 42, corrupt: str | None = None, stream: TextIO = sys.stdout
+    seed: int = 42, corrupt: str | None = None, stream: TextIO | None = None
 ) -> int:
     """Run the built-in property suite; exit 0 iff every property passes.
 
     ``corrupt`` is a test hook: naming a property forces its verdict to fail
-    so the failure path is exercisable.
+    so the failure path is exercisable. Output goes to ``stream`` (default
+    stdout).
     """
+    stream = stream or sys.stdout
     failed = []
     for name, ok, detail in _selfcheck_properties(seed):
         if corrupt == name:
@@ -504,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="master RNG seed (default 42)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("spin-sweep", help="temperature sweep of both witnesses for a spin model")
     p.add_argument("--model", required=True, help="spin model JSON file")
     p.add_argument("--temps", required=True, help="temperature grid lo:hi:count[:log]")
@@ -517,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
     p.add_argument("--tstar-tol", type=float, default=1e-6, dest="tstar_tol",
                    help="bisection tolerance for the threshold temperatures")
-    common(p)
 
     p = sub.add_parser("gas-scan", help="ideal-gas scan: occupations, entropy, scaling fit")
     p.add_argument("--spectrum", required=True,
@@ -528,70 +421,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy-per-particle", type=float, default=1.0,
                    dest="energy_per_particle",
                    help="proportionality constant in the E = c*N threshold algebra")
-    common(p)
 
     p = sub.add_parser("ree", help="REE bounds for a spin model's ground state")
     p.add_argument("--model", required=True)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-    common(p)
 
     p = sub.add_parser("energy-witness", help="separable-energy witness for a spin model")
     p.add_argument("--model", required=True)
     p.add_argument("--restarts", type=int, default=32)
-    common(p)
+
+    data_commands = {"spin-sweep": run_spin_sweep, "gas-scan": run_gas_scan,
+                     "ree": run_ree, "energy-witness": run_energy_witness}
+    for name, run in data_commands.items():
+        p = sub.choices[name]
+        p.add_argument("--seed", type=int, default=42, help="master RNG seed (default 42)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(run=lambda args, run=run: _emit(args, *run(args)))
 
     p = sub.add_parser("selfcheck", help="run the built-in identity/inequality suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
+    p.set_defaults(run=lambda args: run_selfcheck(args.seed, args.corrupt))
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model_path=getattr(args, "model", None),
-        spectrum_spec=getattr(args, "spectrum", None),
-        temps=getattr(args, "temps", None),
-        seed=args.seed,
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
-        restarts=getattr(args, "restarts", 32),
-        tol=getattr(args, "tol", 1e-4),
-        max_iter=getattr(args, "max_iter", 500),
-        upper=getattr(args, "upper", False),
-        tstar_tol=getattr(args, "tstar_tol", 1e-6),
-        fit_window=getattr(args, "fit_window", None),
-        energy_per_particle=getattr(args, "energy_per_particle", 1.0),
-        corrupt=getattr(args, "corrupt", None),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        if cfg.command == "spin-sweep":
-            return run_spin_sweep(cfg)
-        if cfg.command == "gas-scan":
-            return run_gas_scan(cfg)
-        if cfg.command == "ree":
-            return run_ree(cfg)
-        if cfg.command == "energy-witness":
-            return run_energy_witness(cfg)
-        if cfg.command == "selfcheck":
-            return run_selfcheck(seed=cfg.seed, corrupt=cfg.corrupt)
-        raise ConfigError(f"unknown command {cfg.command!r}")
+        return args.run(args)
     except DimensionCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # includes ConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -15,7 +15,6 @@ only makes the witness fire less).
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -27,6 +26,7 @@ from .qops import (
     EIG_CLAMP,
     HermitianOperator,
     PureState,
+    _AXIS_LETTERS,
     partial_transpose,
 )
 
@@ -162,9 +162,6 @@ def ree_lower_bound(psi: PureState) -> EntanglementEstimate:
 # ---------------------------------------------------------------------------
 # product-state optimization (linear oracle and energy witness)
 # ---------------------------------------------------------------------------
-
-_AXIS_LETTERS = string.ascii_letters
-
 
 def _effective_site_operator(
     tensor: np.ndarray, factors: Sequence[np.ndarray], k: int, n: int

@@ -37,8 +37,8 @@ class GasState:
     T: float
     mu: float
     occupations: np.ndarray
-    S: float
-    F: float
+    S: float  # mode-sum entropy of the occupations, in nats
+    F: float  # grand potential; -dF/dT at fixed mu reproduces S
     N_actual: float
 
 
@@ -199,16 +199,6 @@ def _free_energy(freqs: np.ndarray, mu: float, T: float, statistics: str) -> flo
     raise ValueError(f"unknown statistics {statistics!r}")
 
 
-def gas_entropy(state: GasState) -> float:
-    """Mode-sum entropy of the resolved occupations, in nats."""
-    return _entropy_from_occupations(state.occupations, state.spectrum.statistics)
-
-
-def gas_free_energy(state: GasState) -> float:
-    """Grand-potential free energy; -dF/dT at fixed mu reproduces the entropy."""
-    return _free_energy(state.spectrum.frequencies, state.mu, state.T, state.spectrum.statistics)
-
-
 def default_fit_window(spectrum: ModeSpectrum) -> tuple[float, float]:
     """Default low-T window: [0.1, 0.5] x the smallest spectral scale.
 
@@ -293,7 +283,7 @@ def mb_witness_check(spectrum: ModeSpectrum, n_particles: float, T: float) -> MB
 
     Only valid for T at or above the geometric frequency scale (the
     Maxwell-Boltzmann regime); below it the quantum-statistics path
-    (``gas_state`` + ``gas_entropy``) must be used instead. In the valid
+    (the entropy ``gas_state(...).S``) must be used instead. In the valid
     regime S_mb >= E always, so ``fires`` is always False: an ideal classical
     gas is never detected.
     """
@@ -303,7 +293,7 @@ def mb_witness_check(spectrum: ModeSpectrum, n_particles: float, T: float) -> MB
     if T < scale:
         raise ValueError(
             f"T={T} is below the classical regime (geometric scale {scale:.6g}); "
-            "use the quantum-statistics path (gas_state/gas_entropy) at low T"
+            "use the quantum-statistics path (gas_state(...).S) at low T"
         )
     s_mb = n_particles * (math.log(T / scale) + 1.0)
     e_assumed = float(n_particles)

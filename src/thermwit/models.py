@@ -25,6 +25,7 @@ from .qops import (
     PureState,
     eig_hermitian,
 )
+from .thermo import ground_level_degeneracy
 
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -137,11 +138,8 @@ class ModeSpectrum:
 def chain_bonds(n_sites: int, boundary: str) -> list[tuple[int, int]]:
     """Nearest-neighbour bond list; periodic adds the wrap-around bond."""
     bonds = [(i, i + 1) for i in range(n_sites - 1)]
-    if boundary == "periodic" and n_sites > 2:
+    if boundary == "periodic" and n_sites > 2:  # a 2-site ring would double-count its bond
         bonds.append((n_sites - 1, 0))
-    elif boundary == "periodic" and n_sites == 2:
-        # a 2-site ring would double-count the single bond
-        pass
     return bonds
 
 
@@ -181,18 +179,20 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
     return HermitianOperator(h, (2,) * n)
 
 
-def ground_state(h: HermitianOperator, degeneracy_tol: float = 1e-9) -> GroundStateResult:
-    """Lowest eigenpair with a degeneracy count within ``degeneracy_tol``.
+def ground_state(h: HermitianOperator) -> GroundStateResult:
+    """Lowest eigenpair with the degeneracy count of the ground level.
 
     For a degenerate ground level the returned state is the
     deterministic-phase eigenvector of lowest index; callers should consult
     ``degeneracy`` before treating it as canonical.
     """
     dec = eig_hermitian(h)
-    e0 = float(dec.eigenvalues[0])
-    degeneracy = int(np.count_nonzero(dec.eigenvalues - e0 <= degeneracy_tol))
     state = PureState(dec.eigenvectors[:, 0], h.dims)
-    return GroundStateResult(state=state, energy=e0, degeneracy=degeneracy)
+    return GroundStateResult(
+        state=state,
+        energy=float(dec.eigenvalues[0]),
+        degeneracy=ground_level_degeneracy(dec.eigenvalues),
+    )
 
 
 def make_spectrum(

@@ -189,6 +189,7 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return HermitianOperator(np.kron(a.matrix, b.matrix), dims)
 
 
+#: einsum subscript letters, one per tensor axis.
 _AXIS_LETTERS = string.ascii_letters
 
 

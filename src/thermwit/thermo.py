@@ -26,6 +26,11 @@ from .qops import (
 DEGENERACY_TOL = 1e-9
 
 
+def ground_level_degeneracy(energies: np.ndarray) -> int:
+    """Number of levels within DEGENERACY_TOL of the lowest (``energies`` ascending)."""
+    return int(np.count_nonzero(energies - energies[0] <= DEGENERACY_TOL))
+
+
 @dataclass(frozen=True)
 class CanonicalScalars:
     """Scalar canonical quantities for an energy spectrum at one temperature."""
@@ -99,7 +104,6 @@ def ensemble_from_decomposition(
     vecs = spectral.eigenvectors
     rho = (vecs * probs) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    degeneracy = int(np.count_nonzero(e - e[0] <= DEGENERACY_TOL))
     return ThermalEnsemble(
         spectral=spectral,
         temperature=float(temperature),
@@ -110,7 +114,7 @@ def ensemble_from_decomposition(
         S=sc.S,
         p=sc.p,
         rho_T=_density_unchecked(rho, dims),
-        ground_degeneracy=degeneracy,
+        ground_degeneracy=ground_level_degeneracy(e),
     )
 
 
@@ -119,11 +123,6 @@ def thermal_ensemble(h: HermitianOperator, temperature: float) -> ThermalEnsembl
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     return ensemble_from_decomposition(eig_hermitian(h), h.dims, temperature)
-
-
-def ground_weight(ens: ThermalEnsemble) -> float:
-    """Boltzmann weight of ONE ground state (not the full degenerate level)."""
-    return ens.p
 
 
 def rel_entropy_pure_to_thermal(psi: PureState, ens: ThermalEnsemble) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
 from .qops import HermitianOperator, PureState, eig_hermitian
-from .thermo import DEGENERACY_TOL, canonical_scalars
+from .thermo import canonical_scalars, ground_level_degeneracy
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -109,10 +109,8 @@ def evaluate_witness(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    dec = eig_hermitian(h)
-    e = dec.eigenvalues
-    degeneracy = int(np.count_nonzero(e - e[0] <= DEGENERACY_TOL))
-    return _report(e, temperature, e_value.lower, e_value.upper, degeneracy)
+    e = eig_hermitian(h).eigenvalues
+    return _report(e, temperature, e_value.lower, e_value.upper, ground_level_degeneracy(e))
 
 
 def critical_temperature(
@@ -195,7 +193,7 @@ def sweep(
         raise ValueError("temperature grid must be strictly ascending")
     dec = eig_hermitian(h)
     energies = dec.eigenvalues
-    degeneracy = int(np.count_nonzero(energies - energies[0] <= DEGENERACY_TOL))
+    degeneracy = ground_level_degeneracy(energies)
     gs = PureState(dec.eigenvectors[:, 0], h.dims)
     est = ree_lower_bound(gs)
     e_lower = est.lower

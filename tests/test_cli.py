@@ -37,7 +37,8 @@ def test_parse_temps_linear_and_log():
 
 
 def test_parse_temps_rejects_garbage():
-    for bad in ("1:2", "0:2:5", "2:1:5", "1:2:0", "1:2:3:cubic"):
+    for bad in ("1:2", "0:2:5", "2:1:5", "1:2:0", "1:2:3:cubic",
+                "nan:1:3", "0.5:nan:3:log", "1:inf:3"):
         with pytest.raises(ValueError):
             parse_temps(bad)
 
@@ -103,6 +104,18 @@ def test_malformed_json_exits_2_with_position(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
+    for terms in ([[0, "X", 1.0]], [[[0], "X"]]):  # sites not a list; coefficient missing
+        model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2,
+                                       "custom_terms": terms})
+        assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
+        assert "invalid model" in capsys.readouterr().err
+    assert main(["ree", "--model", str(tmp_path)]) == EXIT_CONFIG
+    assert "cannot read model file" in capsys.readouterr().err
+    assert main(["gas-scan", "--spectrum", str(tmp_path), "--temps", "1:2:2"]) == EXIT_CONFIG
+    assert "cannot read spectrum file" in capsys.readouterr().err
 
 
 def test_unknown_model_key_exits_2(tmp_path, capsys):

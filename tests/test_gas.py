@@ -8,8 +8,6 @@ from thermwit import (
     default_fit_window,
     fit_entropy_scaling,
     fit_power_law,
-    gas_entropy,
-    gas_free_energy,
     gas_state,
     geometric_frequency_scale,
     make_spectrum,
@@ -123,21 +121,21 @@ def test_bose_single_mode_unit_occupation_entropy():
                        chemical_potential=0.0)
     st = gas_state(sp, 1.0)
     assert st.occupations[0] == pytest.approx(1.0, abs=1e-12)
-    assert gas_entropy(st) == pytest.approx(2 * LN2, abs=1e-12)
+    assert st.S == pytest.approx(2 * LN2, abs=1e-12)
 
 
 def test_fermi_half_filled_mode_entropy():
     sp = make_spectrum("custom", frequencies=[2.0], statistics="fermi",
                        chemical_potential=2.0)
     st = gas_state(sp, 0.8)
-    assert gas_entropy(st) == pytest.approx(LN2, abs=1e-12)
+    assert st.S == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_vanishes_when_frozen():
     sp = make_spectrum("custom", frequencies=[1.0, 2.0], statistics="bose",
                        chemical_potential=0.0)
     st = gas_state(sp, 1e-6)
-    assert gas_entropy(st) == pytest.approx(0.0, abs=1e-30)
+    assert st.S == pytest.approx(0.0, abs=1e-30)
 
 
 def test_fermi_single_mode_free_energy():
@@ -145,7 +143,7 @@ def test_fermi_single_mode_free_energy():
                        chemical_potential=0.0)
     for t in (0.5, 2.0):
         st = gas_state(sp, t)
-        assert gas_free_energy(st) == pytest.approx(
+        assert st.F == pytest.approx(
             -t * math.log(1 + math.exp(-1.3 / t)), abs=1e-12
         )
 
@@ -155,14 +153,14 @@ def test_bose_single_mode_free_energy():
     sp = make_spectrum("custom", frequencies=[LN2], statistics="bose",
                        chemical_potential=0.0)
     st = gas_state(sp, 1.0)
-    assert gas_free_energy(st) == pytest.approx(-LN2, abs=1e-12)
+    assert st.F == pytest.approx(-LN2, abs=1e-12)
 
 
 def test_free_energy_vanishes_at_zero_temperature():
     sp = make_spectrum("custom", frequencies=[1.0], statistics="bose",
                        chemical_potential=0.3)
     st = gas_state(sp, 1e-6)
-    assert abs(gas_free_energy(st)) <= 1e-30
+    assert abs(st.F) <= 1e-30
 
 
 def test_entropy_matches_free_energy_derivative(rng):

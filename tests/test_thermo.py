@@ -12,7 +12,6 @@ from thermwit import (
     check_eq3,
     eig_hermitian,
     ensemble_from_decomposition,
-    ground_weight,
     quantum_relative_entropy,
     rel_entropy_pure_to_thermal,
     thermal_ensemble,
@@ -78,18 +77,18 @@ def test_rejects_nonpositive_temperature():
 
 def test_ground_weight_equal_mixing_limit():
     ens = thermal_ensemble(level_system([0.0, 1.0]), 1e9)
-    assert ground_weight(ens) == pytest.approx(0.5, abs=1e-9)
+    assert ens.p == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ground_weight_exact_half():
     # p = 1/2 exactly when exp(4 beta) = 3 for the (-3, 1, 1, 1) spectrum
     ens = thermal_ensemble(heis2(), 4.0 / math.log(3.0))
-    assert ground_weight(ens) == pytest.approx(0.5, abs=1e-12)
+    assert ens.p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ground_weight_degenerate_level_is_per_state():
     ens = thermal_ensemble(level_system([0.0, 0.0]), 3.7)
-    assert ground_weight(ens) == pytest.approx(0.5, abs=1e-12)
+    assert ens.p == pytest.approx(0.5, abs=1e-12)
     assert ens.ground_degeneracy == 2
 
 
