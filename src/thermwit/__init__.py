@@ -29,6 +29,7 @@ from .models import (
     SpinModelSpec,
     build_spin_hamiltonian,
     ground_state,
+    ground_state_from_decomposition,
     make_spectrum,
 )
 from .thermo import (

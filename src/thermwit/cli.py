@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -158,14 +158,19 @@ def load_spectrum(spec: str) -> ModeSpectrum:
 # data subcommands: each returns one Payload
 # ---------------------------------------------------------------------------
 
-def _emit(args: argparse.Namespace, body: dict, rows: list[list]) -> int:
-    """Emit ``body`` as JSON or ``rows`` as CSV, to ``--out`` or stdout."""
+def _run_data(args: argparse.Namespace, run: Callable[[argparse.Namespace], Payload]) -> int:
+    """Run a data subcommand and emit its body as JSON or its rows as CSV,
+    to ``--out`` or stdout. ``--out`` is checked before any work starts."""
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise ConfigError(f"--out {args.out} is a directory or its directory does not exist")
+    body, rows = run(args)
     if args.format == "json":
         text = json.dumps(body, indent=2) + "\n"
     else:
         text = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="master RNG seed (default 42)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(run=lambda args, run=run: _emit(args, *run(args)))
+        p.set_defaults(run=lambda args, run=run: _run_data(args, run))
 
     p = sub.add_parser("selfcheck", help="run the built-in identity/inequality suite")
     p.add_argument("--seed", type=int, default=42)

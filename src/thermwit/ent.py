@@ -123,7 +123,8 @@ def entanglement_entropy_pure(psi: PureState, cut: PartitionCut) -> float:
     """Entanglement entropy of a pure state across a bipartition, in nats.
 
     Equals the von Neumann entropy of the reduced state on ``side_a``
-    (computed through the Schmidt coefficients).
+    (computed through the Schmidt coefficients). A cut with a single
+    Schmidt weight above EIG_CLAMP gives exactly 0.0.
     """
     side = cut.validate(len(psi.dims))
     rest = tuple(i for i in range(len(psi.dims)) if i not in side)
@@ -134,6 +135,8 @@ def entanglement_entropy_pure(psi: PureState, cut: PartitionCut) -> float:
     )
     lam = np.linalg.svd(mat, compute_uv=False) ** 2
     lam = lam[lam > EIG_CLAMP]
+    if lam.size == 1:  # a product across the cut; -lam ln lam would be round-off
+        return 0.0
     return float(-np.sum(lam * np.log(lam)))
 
 

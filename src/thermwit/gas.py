@@ -230,6 +230,11 @@ def fit_power_law(
     if np.any(ss <= 0):
         bad = ts[ss <= 0]
         raise ValueError(f"nonpositive entropy sample(s) at T={bad}; shrink the window")
+    if np.ptp(np.log(ss)) == 0:
+        raise ValueError(
+            f"entropy is constant over the fit window [{ts[0]:.6g}, {ts[-1]:.6g}]; "
+            "no power law to fit"
+        )
     slope, intercept = np.polyfit(np.log(ts), np.log(ss), 1)
     pred = slope * np.log(ts) + intercept
     resid = np.log(ss) - pred

@@ -23,16 +23,12 @@ from .qops import (
     DimensionCapError,
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
+    _fix_phases,
     eig_hermitian,
 )
+from .seeding import named_rng
 from .thermo import ground_level_degeneracy
-
-PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 SPIN_KINDS = ("heisenberg", "xy", "transverse_ising", "custom_terms")
 BOUNDARIES = ("open", "periodic")
@@ -65,6 +61,8 @@ class SpinModelSpec:
             )
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
+        if not (math.isfinite(self.coupling) and math.isfinite(self.field)):
+            raise ValueError(f"coupling {self.coupling} and field {self.field} must be finite")
         if self.kind == "custom_terms":
             if not self.custom_terms:
                 raise ValueError("custom_terms model needs a nonempty custom_terms list")
@@ -72,7 +70,9 @@ class SpinModelSpec:
                 (tuple(int(s) for s in sites), str(labels).upper(), float(coeff))
                 for sites, labels, coeff in self.custom_terms
             )
-            for sites, labels, _ in terms:
+            for sites, labels, coeff in terms:
+                if not math.isfinite(coeff):
+                    raise ValueError(f"term coefficient {coeff} must be finite")
                 if len(sites) != len(labels) or not sites:
                     raise ValueError(f"term sites {sites} do not match labels {labels!r}")
                 if len(set(sites)) != len(sites):
@@ -112,6 +112,8 @@ class ModeSpectrum:
         freqs = np.sort(np.asarray(self.frequencies, dtype=np.float64))
         if freqs.ndim != 1 or freqs.size == 0:
             raise ValueError("frequencies must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("all frequencies must be finite")
         if np.any(freqs <= 0):
             raise ValueError("all frequencies must be positive")
         freqs.setflags(write=False)
@@ -121,6 +123,9 @@ class ModeSpectrum:
         has_mu = self.chemical_potential is not None
         if has_n == has_mu:
             raise ValueError("exactly one of particle_target and chemical_potential is required")
+        name = "particle_target" if has_n else "chemical_potential"
+        if not math.isfinite(getattr(self, name)):
+            raise ValueError(f"{name} {getattr(self, name)} must be finite")
         if has_n and self.particle_target <= 0:
             raise ValueError("particle_target must be positive")
         if has_mu and self.statistics == "bose" and self.chemical_potential >= freqs[0]:
@@ -143,55 +148,77 @@ def chain_bonds(n_sites: int, boundary: str) -> list[tuple[int, int]]:
     return bonds
 
 
-def pauli_string(n_sites: int, sites: Sequence[int], labels: str) -> np.ndarray:
-    """Kronecker product of Pauli matrices at ``sites``, identity elsewhere."""
-    ops = ["I"] * n_sites
-    for s, c in zip(sites, labels):
-        ops[s] = c
-    out = PAULI[ops[0]]
-    for c in ops[1:]:
-        out = np.kron(out, PAULI[c])
-    return out
+def pauli_terms(spec: SpinModelSpec) -> list[CustomTerm]:
+    """The model as (sites, labels, coeff) Pauli-string terms.
+
+    Built-in kinds expand bond by bond in the order of the sign conventions
+    above; ``custom_terms`` models return their terms unchanged.
+    """
+    if spec.kind == "custom_terms":
+        return list(spec.custom_terms)
+    n, j = spec.n_sites, spec.coupling
+    bonds = chain_bonds(n, spec.boundary)
+    if spec.kind == "heisenberg":
+        return [(b, p + p, j) for b in bonds for p in "XYZ"]
+    if spec.kind == "xy":
+        return [(b, p + p, j) for b in bonds for p in "XY"]
+    return [(b, "ZZ", -j) for b in bonds] + [((i,), "X", -spec.field) for i in range(n)]
 
 
 def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
-    """Assemble the dense Hamiltonian from Pauli-string terms."""
+    """Assemble the dense Hamiltonian from its Pauli terms with bit operations.
+
+    Site 0 is the most significant bit of the basis index. A term flips the
+    bits of its X and Y sites, so it maps basis state s to s ^ flip with the
+    amplitude coeff * i**(#Y) * (-1)**(number of set Y/Z bits of s). Terms
+    are added in order, so the sum is the same as adding Kronecker products.
+    """
     n = spec.n_sites
     dim = 2 ** n
+    states = np.arange(dim)
     h = np.zeros((dim, dim), dtype=np.complex128)
-    bonds = chain_bonds(n, spec.boundary)
-    if spec.kind == "heisenberg":
-        for i, j in bonds:
-            for p in "XYZ":
-                h += spec.coupling * pauli_string(n, (i, j), p + p)
-    elif spec.kind == "xy":
-        for i, j in bonds:
-            for p in "XY":
-                h += spec.coupling * pauli_string(n, (i, j), p + p)
-    elif spec.kind == "transverse_ising":
-        for i, j in bonds:
-            h -= spec.coupling * pauli_string(n, (i, j), "ZZ")
-        for i in range(n):
-            h -= spec.field * pauli_string(n, (i,), "X")
-    else:
-        for sites, labels, coeff in spec.custom_terms:
-            h += coeff * pauli_string(n, sites, labels)
+    for sites, labels, coeff in pauli_terms(spec):
+        flip = 0
+        parity = np.zeros(dim, dtype=np.int64)
+        for site, label in zip(sites, labels):
+            bit = n - 1 - site
+            if label in "XY":
+                flip |= 1 << bit
+            if label in "YZ":
+                parity ^= (states >> bit) & 1
+        amp = coeff * 1j ** labels.count("Y") * np.where(parity, -1.0, 1.0)
+        h[states ^ flip, states] += amp
     return HermitianOperator(h, (2,) * n)
 
 
 def ground_state(h: HermitianOperator) -> GroundStateResult:
     """Lowest eigenpair with the degeneracy count of the ground level.
 
-    For a degenerate ground level the returned state is the
-    deterministic-phase eigenvector of lowest index; callers should consult
-    ``degeneracy`` before treating it as canonical.
+    The state follows one rule for every ground level: project a fixed
+    reference vector (the first d complex draws of the ``ground-vector``
+    seeding stream) onto the ground level, the levels within DEGENERACY_TOL
+    of the lowest, normalize, and turn the largest-magnitude amplitude real
+    positive. It does not depend on which orthonormal basis of a degenerate
+    ground level the eigensolver returns, and for a nondegenerate ground
+    level it is that level's eigenvector.
     """
-    dec = eig_hermitian(h)
-    state = PureState(dec.eigenvectors[:, 0], h.dims)
+    return ground_state_from_decomposition(eig_hermitian(h), h.dims)
+
+
+def ground_state_from_decomposition(
+    spectral: SpectralDecomposition, dims: tuple[int, ...]
+) -> GroundStateResult:
+    """``ground_state`` from a precomputed eigendecomposition."""
+    energies = spectral.eigenvalues
+    degeneracy = ground_level_degeneracy(energies)
+    basis = spectral.columns(degeneracy)
+    draws = named_rng(0, "ground-vector").standard_normal(2 * energies.size)
+    vec = basis @ (basis.conj().T @ draws.view(np.complex128))
+    vec /= np.linalg.norm(vec)
     return GroundStateResult(
-        state=state,
-        energy=float(dec.eigenvalues[0]),
-        degeneracy=ground_level_degeneracy(dec.eigenvalues),
+        state=PureState(_fix_phases(vec[:, None])[:, 0], dims),
+        energy=float(energies[0]),
+        degeneracy=degeneracy,
     )
 
 

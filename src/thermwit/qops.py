@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -25,6 +26,9 @@ DIM_CAP = 16384
 
 #: Tolerance for the Hermiticity invariant (max-entry norm of A - A^dag).
 HERMITICITY_TOL = 1e-10
+
+#: Tile edge of the Hermiticity check, which bounds its scratch memory.
+_TILE = 256
 
 #: Eigenvalues below this are treated as exact zeros in log-domain functions.
 EIG_CLAMP = 1e-12
@@ -74,7 +78,13 @@ class HermitianOperator:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        dev = np.max(np.abs(mat - mat.conj().T))
+        # tiles on and above the diagonal cover every entry of A - A^dag
+        t = _TILE
+        dev = np.max([
+            np.max(np.abs(mat[i:i + t, j:j + t] - mat[j:j + t, i:i + t].conj().T))
+            for i in range(0, d, t)
+            for j in range(i, d, t)
+        ])
         if dev > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         object.__setattr__(self, "matrix", mat)
@@ -139,47 +149,94 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    """Ascending eigenvalues with the eigenvectors kept per block.
+
+    A block is a set of basis indices that the operator never leaves (a
+    connected component of its nonzero pattern), stored as (those indices,
+    the positions of its eigenvalues in ``eigenvalues``, its eigenvector
+    columns). The dense eigenvector matrix is assembled only when
+    ``eigenvectors`` is read; ``columns`` gives the lowest few columns.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        vecs = np.array(self.eigenvectors, dtype=np.complex128, copy=True)
         vals.setflags(write=False)
-        vecs.setflags(write=False)
+        for block in self.blocks:
+            for arr in block:
+                arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+
+    def columns(self, count: int) -> np.ndarray:
+        """Dense eigenvector columns of the ``count`` lowest eigenvalues."""
+        out = np.zeros((self.eigenvalues.size, count), dtype=np.complex128)
+        for rows, positions, vecs in self.blocks:
+            keep = positions < count
+            out[np.ix_(rows, positions[keep])] = vecs[:, keep]
+        return out
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        vecs = self.columns(self.eigenvalues.size)
+        vecs.setflags(write=False)
+        return vecs
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Deterministic gauge: largest-magnitude component real positive.
 
     Ties resolve to the lowest index, so results are byte-stable for
-    identical inputs.
+    identical inputs. Scales the (nonzero) columns of ``vecs`` in place.
     """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if abs(a) > 0:
-            out[:, j] = col * (a.conjugate() / abs(a))
-    return out
+    a = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= a.conj() / np.abs(a)
+    return vecs
+
+
+def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of each connected component of the nonzero pattern,
+    in order of their lowest index."""
+    pattern = mat != 0
+    pattern |= pattern.T
+    unseen = np.ones(len(mat), dtype=bool)
+    blocks = []
+    while unseen.any():
+        members = frontier = np.arange(len(mat)) == np.argmax(unseen)
+        while frontier.any():
+            frontier = pattern[frontier].any(axis=0) & ~members
+            members = members | frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
 
 
 def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
-    Raises RuntimeError if the underlying solver fails to converge; partial
-    results are never returned.
+    The matrix is split into the connected components of its nonzero
+    pattern, and each block is diagonalized on its own, with real LAPACK
+    when its imaginary part is exactly zero. Raises RuntimeError if the
+    solver fails to converge; partial results are never returned.
     """
-    try:
-        vals, vecs = np.linalg.eigh(a.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    return SpectralDecomposition(vals, _fix_phases(vecs))
+    mat = a.matrix
+    rows_of = _connected_blocks(mat)
+    vals_of, vecs_of = [], []
+    for rows in rows_of:
+        sub = mat if rows.size == a.dim else mat[np.ix_(rows, rows)]
+        if not sub.imag.any():
+            sub = sub.real
+        try:
+            vals, vecs = np.linalg.eigh(sub)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+        vals_of.append(vals)
+        vecs_of.append(_fix_phases(vecs))
+    vals = np.concatenate(vals_of)
+    order = np.argsort(vals, kind="stable")
+    positions = np.split(np.argsort(order), np.cumsum([v.size for v in vals_of])[:-1])
+    return SpectralDecomposition(vals[order], tuple(zip(rows_of, positions, vecs_of)))
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:

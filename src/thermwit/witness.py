@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
-from .qops import HermitianOperator, PureState, eig_hermitian
+from .models import ground_state_from_decomposition
+from .qops import HermitianOperator, eig_hermitian
 from .thermo import canonical_scalars, ground_level_degeneracy
 
 #: Strictness guard for the witness inequalities.
@@ -193,15 +194,13 @@ def sweep(
         raise ValueError("temperature grid must be strictly ascending")
     dec = eig_hermitian(h)
     energies = dec.eigenvalues
-    degeneracy = ground_level_degeneracy(energies)
-    gs = PureState(dec.eigenvectors[:, 0], h.dims)
-    est = ree_lower_bound(gs)
-    e_lower = est.lower
+    gs = ground_state_from_decomposition(dec, h.dims)
+    e_lower = ree_lower_bound(gs.state).lower
     e_upper = None
     if compute_upper:
         cfg = fw_config or FrankWolfeConfig(seed=seed)
-        e_upper = ree_upper_bound(gs.to_density(), cfg).upper
-    reports = tuple(_report(energies, t, e_lower, e_upper, degeneracy) for t in grid)
+        e_upper = ree_upper_bound(gs.state.to_density(), cfg).upper
+    reports = tuple(_report(energies, t, e_lower, e_upper, gs.degeneracy) for t in grid)
     stars = {}
     for kind in ("eq2", "eq4"):
         if e_lower <= 0:

@@ -75,6 +75,45 @@ def loop_partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def pauli_string(n_sites: int, sites, labels: str) -> np.ndarray:
+    """Kronecker product of Pauli matrices at ``sites``, identity elsewhere."""
+    paulis = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+    ops = ["I"] * n_sites
+    for s, c in zip(sites, labels):
+        ops[s] = c
+    out = paulis[ops[0]]
+    for c in ops[1:]:
+        out = np.kron(out, paulis[c])
+    return out
+
+
+def kron_hamiltonian(spec) -> np.ndarray:
+    """Reference dense Hamiltonian of a SpinModelSpec: Kronecker-product
+    Pauli strings summed term by term, with the package's sign conventions."""
+    from thermwit.models import chain_bonds
+
+    n = spec.n_sites
+    h = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    bonds = chain_bonds(n, spec.boundary)
+    if spec.kind == "heisenberg":
+        for i, j in bonds:
+            for p in "XYZ":
+                h += spec.coupling * pauli_string(n, (i, j), p + p)
+    elif spec.kind == "xy":
+        for i, j in bonds:
+            for p in "XY":
+                h += spec.coupling * pauli_string(n, (i, j), p + p)
+    elif spec.kind == "transverse_ising":
+        for i, j in bonds:
+            h -= spec.coupling * pauli_string(n, (i, j), "ZZ")
+        for i in range(n):
+            h -= spec.field * pauli_string(n, (i,), "X")
+    else:
+        for sites, labels, coeff in spec.custom_terms:
+            h += coeff * pauli_string(n, sites, labels)
+    return h
+
+
 def bloch_grid_extreme(op4x4: np.ndarray, mode: str, n_theta: int = 180, n_phi: int = 180):
     """Independent two-qubit grid oracle: grid one site over n_theta*n_phi
     Bloch points, solve the other site exactly per point (extremal effective

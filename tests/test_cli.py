@@ -107,15 +107,24 @@ def test_malformed_json_exits_2_with_position(tmp_path, capsys):
 
 
 def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
-    for terms in ([[0, "X", 1.0]], [[[0], "X"]]):  # sites not a list; coefficient missing
-        model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2,
-                                       "custom_terms": terms})
+    for payload in (
+        {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[0, "X", 1.0]]},  # sites
+        {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[[0], "X"]]},  # no coeff
+        {"kind": "heisenberg", "n_sites": 3, "J": math.nan},
+    ):
+        model = write_model(tmp_path, payload)
         assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
         assert "invalid model" in capsys.readouterr().err
     assert main(["ree", "--model", str(tmp_path)]) == EXIT_CONFIG
     assert "cannot read model file" in capsys.readouterr().err
     assert main(["gas-scan", "--spectrum", str(tmp_path), "--temps", "1:2:2"]) == EXIT_CONFIG
     assert "cannot read spectrum file" in capsys.readouterr().err
+    model = write_model(tmp_path, HEIS2)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        argv = ["spin-sweep", "--model", model, "--temps", "1:2:2", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: --out" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_unknown_model_key_exits_2(tmp_path, capsys):
@@ -135,6 +144,15 @@ def test_dimension_cap_exits_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 BOSE_GEN = "gen:linear_dispersion:n_modes=200,velocity=0.01,statistics=bose,chemical_potential=0.0"
+
+
+def test_gas_scan_constant_entropy_window_exits_2(capsys):
+    # half-filled degenerate fermi modes: S = 4 ln 2 at every temperature
+    spectrum = "gen:uniform:n_modes=4,omega=1.0,statistics=fermi,particle_target=2.0"
+    code = main(["gas-scan", "--spectrum", spectrum, "--temps", "0.05:0.5:10",
+                 "--fit-window", "0.05:0.5"])
+    assert code == EXIT_CONFIG
+    assert "constant over the fit window [0.05, 0.5]" in capsys.readouterr().err
 
 
 def test_gas_scan_fit_block(tmp_path):

@@ -49,11 +49,18 @@ def test_singlet_entropy():
     )
 
 
-def test_product_state_entropy_zero():
+def test_product_state_entropy_zero(rng):
     psi = PureState(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
     assert entanglement_entropy_pure(psi, PartitionCut(frozenset({0}))) == pytest.approx(
         0.0, abs=1e-12
     )
+    # exactly +0.0, also when the Schmidt weight is 1 only up to round-off
+    factors = [random_pure(rng, (2,)).amplitudes for _ in range(3)]
+    product = PureState(np.kron(np.kron(factors[0], factors[1]), factors[2]), (2, 2, 2))
+    for state in (psi, product):
+        for side in ({0}, {1}):
+            value = entanglement_entropy_pure(state, PartitionCut(frozenset(side)))
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_w_state_single_site_cut():

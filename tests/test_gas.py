@@ -249,6 +249,10 @@ def test_fit_input_validation():
         gapped = make_spectrum("custom", frequencies=[1.0, 2.0], statistics="bose",
                                chemical_potential=0.0)
         fit_entropy_scaling(gapped, np.geomspace(1e-4, 2e-4, 9))
+    half_filled = make_spectrum("uniform", n_modes=4, omega=1.0, statistics="fermi",
+                                particle_target=2.0)
+    with pytest.raises(ValueError, match=r"constant over the fit window \[0.1, 0.8\]"):
+        fit_entropy_scaling(half_filled, np.linspace(0.1, 0.8, 8))
 
 
 def test_default_fit_window():

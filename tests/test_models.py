@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from thermwit import (
     DimensionCapError,
+    SpectralDecomposition,
     SpinModelSpec,
     build_spin_hamiltonian,
     eig_hermitian,
     ground_state,
+    ground_state_from_decomposition,
     make_spectrum,
 )
-from thermwit.models import chain_bonds, pauli_string
-from conftest import SX, SZ
+from thermwit.models import SPIN_KINDS, chain_bonds
+from thermwit.thermo import DEGENERACY_TOL
+from conftest import SX, SZ, kron_hamiltonian, pauli_string
 
 
 def heis(n, J=1.0, boundary="open"):
@@ -91,6 +96,40 @@ def test_periodic_spectrum_translation_invariant():
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
+def _random_spec(rng, kind, n, boundary):
+    if kind != "custom_terms":
+        # |field| >= |coupling| keeps the transverse-Ising gap open; in the
+        # ordered phase it closes exponentially in n, and a ground vector is
+        # only determined to about eps * |H| / gap by any eigensolver.
+        coupling, field = rng.choice([-1, 1], 2) * (rng.uniform(0.5, 1.0), rng.uniform(1.0, 2.0))
+        return SpinModelSpec(kind=kind, n_sites=n, coupling=float(coupling),
+                             field=float(field), boundary=boundary)
+    terms = []
+    for _ in range(2 * n):
+        k = int(rng.integers(1, min(n, 3) + 1))
+        sites = tuple(int(s) for s in rng.choice(n, k, replace=False))
+        terms.append((sites, "".join(rng.choice(list("XYZ"), k)), float(rng.normal())))
+    return SpinModelSpec(kind=kind, n_sites=n, custom_terms=tuple(terms), boundary=boundary)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("kind", SPIN_KINDS)
+def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
+    """Bit-operation assembly equals the Kronecker sum exactly; the block
+    eigendecomposition matches the dense one in energies and ground level."""
+    for n in (2, 4, 7, 10 if boundary == "periodic" else 9):
+        spec = _random_spec(rng, kind, n, boundary)
+        h = build_spin_hamiltonian(spec)
+        assert np.array_equal(h.matrix, kron_hamiltonian(spec))
+        dec = eig_hermitian(h)
+        vals, vecs = np.linalg.eigh(h.matrix)
+        assert np.max(np.abs(dec.eigenvalues - vals)) <= 1e-10
+        g = int(np.count_nonzero(vals - vals[0] <= DEGENERACY_TOL))
+        dense = vecs[:, :g] @ vecs[:, :g].conj().T
+        block = dec.columns(g) @ dec.columns(g).conj().T
+        assert np.max(np.abs(block - dense)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # ground states
 # ---------------------------------------------------------------------------
@@ -110,6 +149,22 @@ def test_ground_state_degeneracy_flagged():
     assert gs.energy == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_canonical_ground_vector_is_basis_independent(rng):
+    h = heis(5, boundary="periodic")  # fourfold degenerate ground level
+    gs = ground_state(h)
+    assert gs.degeneracy == 4
+    vals, vecs = np.linalg.eigh(h.matrix)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    vecs[:, :4] = vecs[:, :4] @ u
+    everything = np.arange(h.dim)
+    rotated = SpectralDecomposition(vals, ((everything, everything, vecs),))
+    other = ground_state_from_decomposition(rotated, h.dims)
+    assert np.max(np.abs(other.state.amplitudes - gs.state.amplitudes)) <= 1e-10
+    # it lies in the ground level
+    energy = np.vdot(gs.state.amplitudes, h.matrix @ gs.state.amplitudes).real
+    assert energy == pytest.approx(gs.energy, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 # ---------------------------------------------------------------------------
@@ -127,6 +182,12 @@ def test_spec_rejects_bad_inputs():
         SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0, 5), "XX", 1.0),))
     with pytest.raises(ValueError, match="XYZ"):
         SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "W", 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        SpinModelSpec(kind="heisenberg", n_sites=3, coupling=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        SpinModelSpec(kind="transverse_ising", n_sites=3, field=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "X", math.nan),))
 
 
 # ---------------------------------------------------------------------------
@@ -166,3 +227,15 @@ def test_spectrum_rejects_bad_inputs():
     with pytest.raises(ValueError, match="unknown statistics"):
         make_spectrum("uniform", n_modes=2, omega=1.0, statistics="anyon",
                       chemical_potential=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        make_spectrum("custom", frequencies=[math.nan, 1.0], statistics="bose",
+                      chemical_potential=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        make_spectrum("custom", frequencies=[math.inf, 1.0], statistics="fermi",
+                      particle_target=1.0)
+    with pytest.raises(ValueError, match="particle_target .* finite"):
+        make_spectrum("uniform", n_modes=2, omega=1.0, statistics="fermi",
+                      particle_target=math.nan)
+    with pytest.raises(ValueError, match="chemical_potential .* finite"):
+        make_spectrum("uniform", n_modes=2, omega=1.0, statistics="bose",
+                      chemical_potential=math.nan)

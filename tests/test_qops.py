@@ -161,10 +161,14 @@ def test_eig_two_qubit_heisenberg():
 
 
 def test_eig_reconstruction_and_gram(rng):
-    for _ in range(10):
+    for trial in range(20):
         d = int(rng.integers(2, 9))
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         a = a + a.conj().T
+        if trial >= 10:  # scattered blocks, real ones among them
+            label = rng.integers(0, 3, d)
+            a = np.where(label[:, None] == label[None, :], a, 0)
+            a = a.real if trial % 2 else a
         h = op(a, (d,))
         dec = eig_hermitian(h)
         rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
