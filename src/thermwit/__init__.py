@@ -29,7 +29,6 @@ from .models import (
     SpinModelSpec,
     build_spin_hamiltonian,
     ground_state,
-    ground_state_from_decomposition,
     make_spectrum,
 )
 from .thermo import (
@@ -37,7 +36,6 @@ from .thermo import (
     ThermalEnsemble,
     canonical_scalars,
     check_eq3,
-    ensemble_from_decomposition,
     rel_entropy_pure_to_thermal,
     thermal_ensemble,
 )

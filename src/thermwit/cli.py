@@ -23,7 +23,7 @@ import numpy as np
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
 from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state, make_spectrum
-from .qops import DimensionCapError
+from .qops import DimensionCapError, eig_hermitian
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -185,8 +185,8 @@ def _fw_config(args: argparse.Namespace, stream: str, **kwargs) -> FrankWolfeCon
 def run_spin_sweep(args: argparse.Namespace) -> Payload:
     h = build_spin_hamiltonian(load_model(args.model))
     grid = parse_temps(args.temps)
-    result = witness.sweep(h, grid, compute_upper=args.upper, t_star_tol=args.tstar_tol,
-                           fw_config=_fw_config(args, "spin-sweep-fw"))
+    fw = _fw_config(args, "spin-sweep-fw") if args.upper else None
+    result = witness.sweep(eig_hermitian(h), grid, fw_config=fw, t_star_tol=args.tstar_tol)
     body = {
         "command": "spin-sweep",
         "seed": args.seed,
@@ -266,7 +266,7 @@ def _record(args: argparse.Namespace, **fields) -> Payload:
 
 
 def run_ree(args: argparse.Namespace) -> Payload:
-    gs = ground_state(build_spin_hamiltonian(load_model(args.model)))
+    gs = ground_state(eig_hermitian(build_spin_hamiltonian(load_model(args.model))))
     lower = ree_lower_bound(gs.state)
     fw = _fw_config(args, "ree-fw", restarts=max(1, args.restarts))
     upper = ree_upper_bound(gs.state.to_density(), fw)
@@ -284,7 +284,7 @@ def run_ree(args: argparse.Namespace) -> Payload:
 
 def run_energy_witness(args: argparse.Namespace) -> Payload:
     h = build_spin_hamiltonian(load_model(args.model))
-    gs = ground_state(h)
+    gs = ground_state(eig_hermitian(h))
     res = energy_witness(
         h, gs.energy, restarts=args.restarts, seed=child_seed(args.seed, "energy-witness")
     )
@@ -360,7 +360,7 @@ def _selfcheck_properties(seed: int):
     points = 0
     for n_sites in (2, 3):
         h = build_spin_hamiltonian(SpinModelSpec(kind="heisenberg", n_sites=n_sites))
-        result = witness.sweep(h, [float(t) for t in np.geomspace(0.1, 20.0, 15)])
+        result = witness.sweep(eig_hermitian(h), [float(t) for t in np.geomspace(0.1, 20.0, 15)])
         ok = ok and all((not r.eq4_fires) or r.eq2_fires for r in result.reports)
         fired += sum(r.eq2_fires for r in result.reports)
         points += len(result.reports)

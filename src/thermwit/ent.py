@@ -28,11 +28,22 @@ from .qops import (
     PureState,
     _AXIS_LETTERS,
     partial_transpose,
+    von_neumann_entropy,
 )
 
 #: Eigenvalue-gap threshold below which the log divided difference switches
 #: to its limit form.
 _DIVDIFF_TOL = 1e-10
+
+#: Weight of the computational-basis diagonal of rho in the Frank-Wolfe start
+#: iterate (the rest is the maximally mixed state).
+_MIX_EPSILON = 1e-3
+
+#: The alternating product-state optimization stops a start once one full
+#: pass over the sites changes the objective by less than this, or after
+#: _MAX_ROUNDS passes.
+_STATIONARITY_TOL = 1e-10
+_MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -75,14 +86,11 @@ class EntanglementEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ProductStateAnsatz:
-    """Normalized per-site factors with a convex-mixture weight."""
+    """Normalized per-site factors of a product pure state."""
 
     factors: tuple[np.ndarray, ...]
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.weight <= 1:
-            raise ValueError(f"weight must lie in (0, 1], got {self.weight}")
         for f in self.factors:
             if abs(np.linalg.norm(f) - 1.0) > 1e-10:
                 raise ValueError("every product factor must be unit-norm")
@@ -100,7 +108,6 @@ class FrankWolfeConfig:
     tol: float = 1e-4          # duality-gap stopping threshold
     restarts: int = 4          # fresh multistarts per linear-oracle call
     seed: int = 42
-    mix_epsilon: float = 1e-3  # weight of the diagonal part in the start iterate
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,6 @@ def _alternating_extreme(
     rng: np.random.Generator,
     restarts: int,
     warm: Sequence[np.ndarray] | None = None,
-    stationarity_tol: float = 1e-10,
-    max_rounds: int = 200,
 ) -> tuple[float, list[np.ndarray]]:
     """Best extremal <prod|A|prod> found by alternating site updates.
 
@@ -221,7 +226,7 @@ def _alternating_extreme(
     best_factors: list[np.ndarray] | None = None
     for factors in starts:
         val: float | None = None
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             prev = val
             for k in range(n):
                 eff = _effective_site_operator(tensor, factors, k, n)
@@ -229,7 +234,7 @@ def _alternating_extreme(
                 idx = pick(w)
                 factors[k] = vecs[:, idx]
                 val = float(w[idx])
-            if prev is not None and abs(val - prev) < stationarity_tol:
+            if prev is not None and abs(val - prev) < _STATIONARITY_TOL:
                 break
         if best_val is None or better(val, best_val):
             best_val = val
@@ -253,7 +258,7 @@ def closest_product_state(
         raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
     rng = np.random.default_rng(seed)
     val, factors = _alternating_extreme(target.matrix, target.dims, mode, rng, restarts)
-    return ProductStateAnsatz(factors=tuple(factors), weight=1.0), val
+    return ProductStateAnsatz(factors=tuple(factors)), val
 
 
 def energy_witness(
@@ -283,15 +288,21 @@ def ppt_check(rho: DensityOperator, cut: PartitionCut) -> PPTCheckResult:
 # conditional-gradient upper bound on the REE
 # ---------------------------------------------------------------------------
 
-def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """G with tr(G d) = directional derivative of tr(rho ln sigma) along d.
+def _objective_and_gradient(
+    rho: np.ndarray, tr_rho_ln_rho: float, sigma: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """S(rho||sigma) and its gradient from one eigendecomposition of sigma.
 
-    Computed through the eigenbasis divided-difference form of the matrix
-    logarithm's Frechet derivative; near-degenerate pairs use the limit
-    2/(a+b) to remove the 0/0.
+    The objective uses the precomputed tr(rho ln rho); sigma must be full
+    rank. The gradient G satisfies tr(G d) = directional derivative of
+    tr(rho ln sigma) along d, computed through the eigenbasis
+    divided-difference form of the matrix logarithm's Frechet derivative;
+    near-degenerate pairs use the limit 2/(a+b) to remove the 0/0.
     """
     vals, vecs = np.linalg.eigh(sigma)
     vals = np.clip(vals, EIG_CLAMP, None)
+    weights = np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
+    objective = tr_rho_ln_rho - float(weights @ np.log(vals))
     rho_t = vecs.conj().T @ rho @ vecs
     a = vals[:, None]
     b = vals[None, :]
@@ -300,15 +311,7 @@ def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     near = np.abs(a - b) < _DIVDIFF_TOL
     phi[near] = (2.0 / (a + b))[near]
     g = vecs @ (rho_t * phi) @ vecs.conj().T
-    return 0.5 * (g + g.conj().T)
-
-
-def _rel_entropy_to(rho: np.ndarray, tr_rho_ln_rho: float, sigma: np.ndarray) -> float:
-    """S(rho||sigma) with precomputed tr(rho ln rho); sigma must be full rank."""
-    vals, vecs = np.linalg.eigh(sigma)
-    vals = np.clip(vals, EIG_CLAMP, None)
-    weights = np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
-    return tr_rho_ln_rho - float(weights @ np.log(vals))
+    return objective, 0.5 * (g + g.conj().T)
 
 
 def ree_upper_bound(
@@ -332,11 +335,9 @@ def ree_upper_bound(
     rng = np.random.default_rng(cfg.seed)
     d = rho.dim
     mat = rho.matrix
-    ev = np.linalg.eigvalsh(mat)
-    ev = ev[ev > EIG_CLAMP]
-    tr_rho_ln_rho = float(np.sum(ev * np.log(ev)))
-    sigma = (1.0 - cfg.mix_epsilon) * np.eye(d) / d + cfg.mix_epsilon * np.diag(np.diag(mat))
-    best = _rel_entropy_to(mat, tr_rho_ln_rho, sigma)
+    tr_rho_ln_rho = -von_neumann_entropy(rho)
+    sigma = (1.0 - _MIX_EPSILON) * np.eye(d) / d + _MIX_EPSILON * np.diag(np.diag(mat))
+    best, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
     if objective_trace is not None:
         objective_trace.append(best)
     warm: list[np.ndarray] | None = None
@@ -345,7 +346,6 @@ def ree_upper_bound(
     # t starts at 1: gamma_1 = 2/3 keeps positive weight on the full-rank start
     for t in range(1, cfg.max_iter + 1):
         iterations = t
-        grad = _log_gradient(mat, sigma)
         _, factors = _alternating_extreme(
             grad, rho.dims, "maximize", rng, cfg.restarts, warm=warm
         )
@@ -358,7 +358,8 @@ def ree_upper_bound(
             break
         gamma = 2.0 / (t + 2.0)
         sigma = (1.0 - gamma) * sigma + gamma * pi
-        best = min(best, _rel_entropy_to(mat, tr_rho_ln_rho, sigma))
+        objective, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
+        best = min(best, objective)
         if objective_trace is not None:
             objective_trace.append(best)
     return EntanglementEstimate(

@@ -71,8 +71,8 @@ class MBWitnessCheck:
 def occupation(omega, mu: float, T: float, statistics: str):
     """Mean occupation of a mode: bose 1/(e^x - 1), fermi 1/(e^x + 1),
     boltzmann e^-x, with x = (omega - mu)/T. Accepts scalars or arrays."""
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {T}")
     omega = np.asarray(omega, dtype=np.float64)
     x = (omega - mu) / T
     if statistics == "bose":
@@ -136,8 +136,8 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
 
 def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
     """Resolve mu (if a particle target is set), then occupations, S and F."""
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {T}")
     if spectrum.chemical_potential is not None:
         mu = float(spectrum.chemical_potential)
     else:
@@ -294,6 +294,8 @@ def mb_witness_check(spectrum: ModeSpectrum, n_particles: float, T: float) -> MB
     """
     if n_particles <= 0:
         raise ValueError("n_particles must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {T}")
     scale = geometric_frequency_scale(spectrum, n_particles)
     if T < scale:
         raise ValueError(

@@ -25,10 +25,8 @@ from .qops import (
     PureState,
     SpectralDecomposition,
     _fix_phases,
-    eig_hermitian,
 )
 from .seeding import named_rng
-from .thermo import ground_level_degeneracy
 
 SPIN_KINDS = ("heisenberg", "xy", "transverse_ising", "custom_terms")
 BOUNDARIES = ("open", "periodic")
@@ -188,10 +186,11 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
                 parity ^= (states >> bit) & 1
         amp = coeff * 1j ** labels.count("Y") * np.where(parity, -1.0, 1.0)
         h[states ^ flip, states] += amp
+    h.setflags(write=False)  # the operator then keeps this array instead of a copy
     return HermitianOperator(h, (2,) * n)
 
 
-def ground_state(h: HermitianOperator) -> GroundStateResult:
+def ground_state(spectral: SpectralDecomposition) -> GroundStateResult:
     """Lowest eigenpair with the degeneracy count of the ground level.
 
     The state follows one rule for every ground level: project a fixed
@@ -202,21 +201,14 @@ def ground_state(h: HermitianOperator) -> GroundStateResult:
     ground level the eigensolver returns, and for a nondegenerate ground
     level it is that level's eigenvector.
     """
-    return ground_state_from_decomposition(eig_hermitian(h), h.dims)
-
-
-def ground_state_from_decomposition(
-    spectral: SpectralDecomposition, dims: tuple[int, ...]
-) -> GroundStateResult:
-    """``ground_state`` from a precomputed eigendecomposition."""
     energies = spectral.eigenvalues
-    degeneracy = ground_level_degeneracy(energies)
+    degeneracy = spectral.ground_degeneracy
     basis = spectral.columns(degeneracy)
     draws = named_rng(0, "ground-vector").standard_normal(2 * energies.size)
     vec = basis @ (basis.conj().T @ draws.view(np.complex128))
     vec /= np.linalg.norm(vec)
     return GroundStateResult(
-        state=PureState(_fix_phases(vec[:, None])[:, 0], dims),
+        state=PureState(_fix_phases(vec[:, None])[:, 0], spectral.dims),
         energy=float(energies[0]),
         degeneracy=degeneracy,
     )

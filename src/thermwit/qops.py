@@ -33,6 +33,9 @@ _TILE = 256
 #: Eigenvalues below this are treated as exact zeros in log-domain functions.
 EIG_CLAMP = 1e-12
 
+#: Levels within this of the lowest count as one degenerate ground level.
+DEGENERACY_TOL = 1e-9
+
 #: Support-overlap threshold for the infinite-relative-entropy sentinel.
 SUPPORT_TOL = 1e-10
 
@@ -56,6 +59,11 @@ def _check_dims(dims: Iterable[int], cap: int | None = None) -> tuple[int, ...]:
 
 
 def _as_locked_complex(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` itself when it is a read-only complex128 array owning its
+    data (nobody can change it under us), else a locked complex copy."""
+    if (isinstance(matrix, np.ndarray) and matrix.dtype == np.complex128
+            and matrix.flags.owndata and not matrix.flags.writeable):
+        return matrix
     out = np.array(matrix, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
@@ -149,7 +157,8 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with the eigenvectors kept per block.
+    """Ascending eigenvalues with the eigenvectors kept per block, on the
+    site dimensions ``dims`` of the diagonalized operator.
 
     A block is a set of basis indices that the operator never leaves (a
     connected component of its nonzero pattern), stored as (those indices,
@@ -160,6 +169,7 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
@@ -168,6 +178,12 @@ class SpectralDecomposition:
             for arr in block:
                 arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+
+    @cached_property
+    def ground_degeneracy(self) -> int:
+        """Number of levels within DEGENERACY_TOL of the lowest."""
+        e = self.eigenvalues
+        return int(np.count_nonzero(e - e[0] <= DEGENERACY_TOL))
 
     def columns(self, count: int) -> np.ndarray:
         """Dense eigenvector columns of the ``count`` lowest eigenvalues."""
@@ -236,7 +252,8 @@ def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
     vals = np.concatenate(vals_of)
     order = np.argsort(vals, kind="stable")
     positions = np.split(np.argsort(order), np.cumsum([v.size for v in vals_of])[:-1])
-    return SpectralDecomposition(vals[order], tuple(zip(rows_of, positions, vecs_of)))
+    blocks = tuple(zip(rows_of, positions, vecs_of))
+    return SpectralDecomposition(vals[order], blocks, a.dims)
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:

@@ -10,25 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qops import (
-    DensityOperator,
-    HermitianOperator,
-    PureState,
-    SpectralDecomposition,
-    _density_unchecked,
-    eig_hermitian,
-)
-
-#: Ground levels within this of E0 count as degenerate.
-DEGENERACY_TOL = 1e-9
-
-
-def ground_level_degeneracy(energies: np.ndarray) -> int:
-    """Number of levels within DEGENERACY_TOL of the lowest (``energies`` ascending)."""
-    return int(np.count_nonzero(energies - energies[0] <= DEGENERACY_TOL))
+from .qops import DensityOperator, PureState, SpectralDecomposition, _density_unchecked
 
 
 @dataclass(frozen=True)
@@ -46,10 +32,12 @@ def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScal
     """Evaluate log Z, F, U, S and the single-ground-state weight p.
 
     ``p`` is the weight of one ground state: for a g-fold degenerate ground
-    level the total ground population is g*p.
+    level the total ground population is g*p. Every spin-side thermal
+    quantity passes through here, so this is where a temperature that is not
+    finite and positive is rejected.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
     e = np.sort(np.asarray(energies, dtype=np.float64))
     beta = 1.0 / temperature
     w = np.exp(-beta * (e - e[0]))  # w[0] == 1 exactly
@@ -65,19 +53,20 @@ def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScal
 
 
 @dataclass(frozen=True, eq=False)
-class ThermalEnsemble:
-    """Gibbs state bundle for a fixed Hamiltonian at one temperature."""
+class ThermalEnsemble(CanonicalScalars):
+    """Gibbs state of a diagonalized Hamiltonian at one temperature: the
+    canonical scalars together with the spectrum they were computed from."""
 
     spectral: SpectralDecomposition
     temperature: float
-    beta: float
-    log_Z: float
-    F: float
-    U: float
-    S: float
-    p: float
-    rho_T: DensityOperator
-    ground_degeneracy: int
+
+    @property
+    def beta(self) -> float:
+        return 1.0 / self.temperature
+
+    @property
+    def ground_degeneracy(self) -> int:
+        return self.spectral.ground_degeneracy
 
     @property
     def Z(self) -> float:
@@ -87,42 +76,25 @@ class ThermalEnsemble:
         except OverflowError:
             return math.inf
 
+    @cached_property
+    def rho_T(self) -> DensityOperator:
+        """Dense Gibbs density matrix, built on first read (it costs O(d^3))."""
+        e = self.spectral.eigenvalues
+        probs = np.exp(-self.beta * (e - e[0]))
+        probs /= probs.sum()
+        vecs = self.spectral.eigenvectors
+        rho = (vecs * probs) @ vecs.conj().T
+        return _density_unchecked(0.5 * (rho + rho.conj().T), self.spectral.dims)
 
-def ensemble_from_decomposition(
-    spectral: SpectralDecomposition, dims: tuple[int, ...], temperature: float
-) -> ThermalEnsemble:
-    """Assemble the ensemble from a precomputed eigendecomposition.
 
-    Useful for temperature sweeps: diagonalize once, evaluate many T
-    independently (the construction is pure).
+def thermal_ensemble(spectral: SpectralDecomposition, temperature: float) -> ThermalEnsemble:
+    """Gibbs ensemble of the diagonalized Hamiltonian at ``temperature``.
+
+    The construction is pure, so a temperature sweep diagonalizes once and
+    builds one ensemble per temperature from the same spectrum.
     """
     sc = canonical_scalars(spectral.eigenvalues, temperature)
-    beta = 1.0 / temperature
-    e = spectral.eigenvalues
-    probs = np.exp(-beta * (e - e[0]))
-    probs /= probs.sum()
-    vecs = spectral.eigenvectors
-    rho = (vecs * probs) @ vecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return ThermalEnsemble(
-        spectral=spectral,
-        temperature=float(temperature),
-        beta=beta,
-        log_Z=sc.log_Z,
-        F=sc.F,
-        U=sc.U,
-        S=sc.S,
-        p=sc.p,
-        rho_T=_density_unchecked(rho, dims),
-        ground_degeneracy=ground_level_degeneracy(e),
-    )
-
-
-def thermal_ensemble(h: HermitianOperator, temperature: float) -> ThermalEnsemble:
-    """Diagonalize ``h`` and build its Gibbs ensemble at ``temperature``."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return ensemble_from_decomposition(eig_hermitian(h), h.dims, temperature)
+    return ThermalEnsemble(**vars(sc), spectral=spectral, temperature=float(temperature))
 
 
 def rel_entropy_pure_to_thermal(psi: PureState, ens: ThermalEnsemble) -> float:
@@ -131,8 +103,8 @@ def rel_entropy_pure_to_thermal(psi: PureState, ens: ThermalEnsemble) -> float:
     Equals beta <psi|H|psi> + ln Z; for a ground state this is -ln p.
     Evaluated in the shifted domain so large beta stays finite.
     """
-    if psi.dims != ens.rho_T.dims:
-        raise ValueError(f"dimension mismatch: {psi.dims} vs {ens.rho_T.dims}")
+    if psi.dims != ens.spectral.dims:
+        raise ValueError(f"dimension mismatch: {psi.dims} vs {ens.spectral.dims}")
     e = ens.spectral.eigenvalues
     overlaps = np.abs(ens.spectral.eigenvectors.conj().T @ psi.amplitudes) ** 2
     energy = float(overlaps @ e)

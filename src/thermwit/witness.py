@@ -17,15 +17,13 @@ separable ground state (E = 0) can never fire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
-from .models import ground_state_from_decomposition
-from .qops import HermitianOperator, eig_hermitian
-from .thermo import canonical_scalars, ground_level_degeneracy
+from .models import ground_state
+from .qops import SpectralDecomposition
+from .thermo import canonical_scalars
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -78,44 +76,33 @@ class SweepResult:
             )
 
 
-def _report(
-    energies: np.ndarray,
-    temperature: float,
-    e_lower: float,
-    e_upper: float | None,
-    degeneracy: int,
+def evaluate_witness(
+    spectral: SpectralDecomposition, temperature: float, e_value: EntanglementEstimate
 ) -> WitnessReport:
-    sc = canonical_scalars(energies, temperature)
+    """Evaluate both witness inequalities for a diagonalized Hamiltonian at
+    one temperature.
+
+    ``e_value.lower`` must be a bound for the ground state of the same
+    Hamiltonian (use ``ree_lower_bound`` on it); any smaller value keeps the
+    verdicts sound.
+    """
+    sc = canonical_scalars(spectral.eigenvalues, temperature)
     neg_ln_p = -math.log(sc.p)
     return WitnessReport(
         T=float(temperature),
         S=sc.S,
         p=sc.p,
         neg_ln_p=neg_ln_p,
-        E_lower=float(e_lower),
-        E_upper=e_upper,
-        eq2_fires=bool(neg_ln_p < e_lower - GUARD),
-        eq4_fires=bool(sc.S < e_lower - GUARD),
-        ground_degeneracy=degeneracy,
+        E_lower=float(e_value.lower),
+        E_upper=e_value.upper,
+        eq2_fires=bool(neg_ln_p < e_value.lower - GUARD),
+        eq4_fires=bool(sc.S < e_value.lower - GUARD),
+        ground_degeneracy=spectral.ground_degeneracy,
     )
 
 
-def evaluate_witness(
-    h: HermitianOperator, temperature: float, e_value: EntanglementEstimate
-) -> WitnessReport:
-    """Evaluate both witness inequalities for ``h`` at one temperature.
-
-    ``e_value.lower`` must be a bound for the ground state of ``h`` (use
-    ``ree_lower_bound`` on it); any smaller value keeps the verdicts sound.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    e = eig_hermitian(h).eigenvalues
-    return _report(e, temperature, e_value.lower, e_value.upper, ground_level_degeneracy(e))
-
-
 def critical_temperature(
-    h: HermitianOperator,
+    spectral: SpectralDecomposition,
     kind: str,
     e_lower: float,
     bracket: tuple[float, float] = (1e-3, 10.0),
@@ -136,24 +123,11 @@ def critical_temperature(
         raise ValueError(f"invalid bracket {bracket}")
     if e_lower <= 0:
         return None
-    energies = eig_hermitian(h).eigenvalues
-    return _bisect_threshold(
-        lambda T: _quantity(energies, T, kind), e_lower, t_lo, t_hi, tol
-    )
 
+    def quantity(temperature: float) -> float:
+        sc = canonical_scalars(spectral.eigenvalues, temperature)
+        return sc.S if kind == "eq4" else -math.log(sc.p)
 
-def _quantity(energies: np.ndarray, temperature: float, kind: str) -> float:
-    sc = canonical_scalars(energies, temperature)
-    return sc.S if kind == "eq4" else -math.log(sc.p)
-
-
-def _bisect_threshold(
-    quantity: Callable[[float], float],
-    e_lower: float,
-    t_lo: float,
-    t_hi: float,
-    tol: float,
-) -> float | None:
     if quantity(t_lo) >= e_lower:
         return None  # never fires at or above t_lo (quantity is nondecreasing)
     while quantity(t_hi) < e_lower:
@@ -170,47 +144,35 @@ def _bisect_threshold(
 
 
 def sweep(
-    h: HermitianOperator,
+    spectral: SpectralDecomposition,
     t_grid: Sequence[float],
     *,
-    seed: int = 42,
-    compute_upper: bool = False,
     fw_config: FrankWolfeConfig | None = None,
     t_star_tol: float = 1e-6,
 ) -> SweepResult:
     """Witness reports over an ascending temperature grid plus thresholds.
 
     The ground-state entanglement bounds are computed once and reused across
-    the grid; the threshold temperatures come from bisection (bracketed by the
-    grid ends, upper end auto-expanded), so their accuracy is ``t_star_tol``
-    regardless of grid density.
+    the grid; the REE upper bound is computed only when ``fw_config`` is
+    given. The threshold temperatures come from ``critical_temperature``
+    bracketed by the grid ends (upper end auto-expanded), so their accuracy
+    is ``t_star_tol`` regardless of grid density.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("temperature grid must be nonempty")
-    if any(t <= 0 for t in grid):
-        raise ValueError("temperatures must be positive")
+    if not all(0 < t < math.inf for t in grid):
+        raise ValueError("temperatures must be finite and positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    dec = eig_hermitian(h)
-    energies = dec.eigenvalues
-    gs = ground_state_from_decomposition(dec, h.dims)
-    e_lower = ree_lower_bound(gs.state).lower
-    e_upper = None
-    if compute_upper:
-        cfg = fw_config or FrankWolfeConfig(seed=seed)
-        e_upper = ree_upper_bound(gs.state.to_density(), cfg).upper
-    reports = tuple(_report(energies, t, e_lower, e_upper, gs.degeneracy) for t in grid)
-    stars = {}
-    for kind in ("eq2", "eq4"):
-        if e_lower <= 0:
-            stars[kind] = None
-            continue
-        stars[kind] = _bisect_threshold(
-            lambda T, k=kind: _quantity(energies, T, k),
-            e_lower,
-            grid[0],
-            grid[-1] if len(grid) > 1 else grid[0] * 10.0,
-            t_star_tol,
-        )
-    return SweepResult(reports=reports, T_star_eq2=stars["eq2"], T_star_eq4=stars["eq4"])
+    gs = ground_state(spectral)
+    est = ree_lower_bound(gs.state)
+    if fw_config is not None:
+        est = replace(est, upper=ree_upper_bound(gs.state.to_density(), fw_config).upper)
+    reports = tuple(evaluate_witness(spectral, t, est) for t in grid)
+    bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
+    t_star_eq2, t_star_eq4 = (
+        critical_temperature(spectral, kind, est.lower, bracket, t_star_tol)
+        for kind in ("eq2", "eq4")
+    )
+    return SweepResult(reports=reports, T_star_eq2=t_star_eq2, T_star_eq4=t_star_eq4)

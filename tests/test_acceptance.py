@@ -59,7 +59,7 @@ def corpus_reports(builder):
     gs = tw.PureState(dec.eigenvectors[:, 0], h.dims)
     est = tw.ree_lower_bound(gs)
     for t in np.geomspace(0.05, 50.0, 24):
-        yield h, dec, tw.evaluate_witness(h, float(t), est)
+        yield h, dec, tw.evaluate_witness(dec, float(t), est)
 
 
 def test_criterion_01_weight_entropy_chain():
@@ -74,7 +74,7 @@ def test_criterion_01_weight_entropy_chain():
         h = tw.HermitianOperator(np.diag(energies).astype(complex), (levels,))
         dec = tw.eig_hermitian(h)
         for t in np.geomspace(1e-3, 1e3, 20):
-            ens = tw.ensemble_from_decomposition(dec, h.dims, float(t))
+            ens = tw.thermal_ensemble(dec, float(t))
             chk = tw.check_eq3(ens)
             assert chk.holds
             worst_slack = min(worst_slack, chk.slack)
@@ -82,10 +82,10 @@ def test_criterion_01_weight_entropy_chain():
             count += 1
         if k < 10:
             # equality proxies: beta -> 0 and T -> 0 for a well-gapped spectrum
-            hot = tw.check_eq3(tw.ensemble_from_decomposition(dec, h.dims, 1e8))
+            hot = tw.check_eq3(tw.thermal_ensemble(dec, 1e8))
             equality_dev = max(equality_dev, abs(hot.p - hot.exp_neg_S))
             if energies[1] - energies[0] >= 1e-3:
-                cold = tw.check_eq3(tw.ensemble_from_decomposition(dec, h.dims, 1e-6))
+                cold = tw.check_eq3(tw.thermal_ensemble(dec, 1e-6))
                 equality_dev = max(equality_dev, abs(cold.p - cold.exp_neg_S))
     ok = worst_slack >= -1e-10 and worst_gap <= 1e-10 and equality_dev <= 1e-6
     record(1, "weight-entropy chain on random spectra", ok,
@@ -118,7 +118,8 @@ def test_criterion_03_two_qubit_heisenberg_thresholds():
     oracle_eq4 = 0.5 * (lo + hi)
     assert oracle_eq4 == pytest.approx(1.5666338883549469, abs=1e-9)  # frozen pre-build
 
-    res = tw.sweep(spin("heisenberg", 2), [float(t) for t in np.arange(0.5, 5.01, 0.5)])
+    res = tw.sweep(tw.eig_hermitian(spin("heisenberg", 2)),
+                   [float(t) for t in np.arange(0.5, 5.01, 0.5)])
     ok = (
         abs(res.T_star_eq2 - closed_eq2) <= 1e-3
         and abs(res.T_star_eq4 - oracle_eq4) <= 1e-3
@@ -263,7 +264,7 @@ def test_criterion_10_ppt_cross_validation():
         for h, dec, rep in corpus_reports(builder):
             if rep.eq2_fires or rep.eq4_fires:
                 fired += 1
-                ens = tw.ensemble_from_decomposition(dec, h.dims, rep.T)
+                ens = tw.thermal_ensemble(dec, rep.T)
                 if not tw.ppt_check(ens.rho_T, cut).npt:
                     contradictions += 1
     record(10, "PPT confirms every firing verdict", contradictions == 0 and fired > 0,

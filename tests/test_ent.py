@@ -12,6 +12,7 @@ from thermwit import (
     SpinModelSpec,
     build_spin_hamiltonian,
     closest_product_state,
+    eig_hermitian,
     energy_witness,
     entanglement_entropy_pure,
     ppt_check,
@@ -19,7 +20,7 @@ from thermwit import (
     ree_upper_bound,
     thermal_ensemble,
 )
-from thermwit.ent import _log_gradient
+from thermwit.ent import _objective_and_gradient
 from conftest import (
     LN2,
     SX,
@@ -175,7 +176,7 @@ def test_log_gradient_matches_finite_difference(rng):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             sigma = a @ a.conj().T
             sigma = sigma / np.trace(sigma).real
-        g = _log_gradient(rho, sigma)
+        _, g = _objective_and_gradient(rho, 0.0, sigma)
         d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         d = d + d.conj().T
         d /= np.max(np.abs(d))
@@ -272,7 +273,7 @@ def test_ppt_maximally_mixed():
 
 
 def test_ppt_thermal_heisenberg():
-    ens = thermal_ensemble(heis2(), 1.0)
+    ens = thermal_ensemble(eig_hermitian(heis2()), 1.0)
     res = ppt_check(ens.rho_T, PartitionCut(frozenset({0})))
     # frozen from the pre-build 4x4 oracle
     assert res.min_eig == pytest.approx(-0.4479149938275155, abs=1e-10)

@@ -294,6 +294,18 @@ def test_mb_refuses_quantum_regime():
         mb_witness_check(sp, 4.0, 0.5)
 
 
+def test_rejects_temperature_not_finite_and_positive():
+    sp = make_spectrum("uniform", n_modes=4, omega=1.0, statistics="boltzmann",
+                       chemical_potential=0.0)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            occupation(1.0, 0.0, t, "fermi")
+        with pytest.raises(ValueError, match="positive"):
+            gas_state(sp, t)
+        with pytest.raises(ValueError, match="positive"):
+            mb_witness_check(sp, 4.0, t)
+
+
 def test_mb_never_fires_on_grid(rng):
     for _ in range(5):
         m = int(rng.integers(4, 17))

@@ -10,11 +10,10 @@ from thermwit import (
     build_spin_hamiltonian,
     eig_hermitian,
     ground_state,
-    ground_state_from_decomposition,
     make_spectrum,
 )
 from thermwit.models import SPIN_KINDS, chain_bonds
-from thermwit.thermo import DEGENERACY_TOL
+from thermwit.qops import DEGENERACY_TOL
 from conftest import SX, SZ, kron_hamiltonian, pauli_string
 
 
@@ -43,7 +42,7 @@ def test_transverse_ising_noninteracting_limit():
     h = build_spin_hamiltonian(spec)
     expect = -(np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX))
     assert np.allclose(h.matrix, expect)
-    gs = ground_state(h)
+    gs = ground_state(eig_hermitian(h))
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
     assert gs.degeneracy == 1
     plus = np.array([1, 1]) / np.sqrt(2)
@@ -135,7 +134,7 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
 # ---------------------------------------------------------------------------
 
 def test_ground_state_singlet():
-    gs = ground_state(heis(2))
+    gs = ground_state(eig_hermitian(heis(2)))
     assert gs.energy == pytest.approx(-3.0, abs=1e-12)
     assert gs.degeneracy == 1
     s = 1 / np.sqrt(2)
@@ -144,21 +143,21 @@ def test_ground_state_singlet():
 
 def test_ground_state_degeneracy_flagged():
     spec = SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "Z", 1.0),))
-    gs = ground_state(build_spin_hamiltonian(spec))  # Z x I ignores site 1
+    gs = ground_state(eig_hermitian(build_spin_hamiltonian(spec)))  # Z x I ignores site 1
     assert gs.degeneracy == 2
     assert gs.energy == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_canonical_ground_vector_is_basis_independent(rng):
     h = heis(5, boundary="periodic")  # fourfold degenerate ground level
-    gs = ground_state(h)
+    gs = ground_state(eig_hermitian(h))
     assert gs.degeneracy == 4
     vals, vecs = np.linalg.eigh(h.matrix)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     vecs[:, :4] = vecs[:, :4] @ u
     everything = np.arange(h.dim)
-    rotated = SpectralDecomposition(vals, ((everything, everything, vecs),))
-    other = ground_state_from_decomposition(rotated, h.dims)
+    rotated = SpectralDecomposition(vals, ((everything, everything, vecs),), h.dims)
+    other = ground_state(rotated)
     assert np.max(np.abs(other.state.amplitudes - gs.state.amplitudes)) <= 1e-10
     # it lies in the ground level
     energy = np.vdot(gs.state.amplitudes, h.matrix @ gs.state.amplitudes).real

@@ -51,6 +51,19 @@ def test_rejects_cap_exceeded():
         op(np.eye(2), (2,) * 15)
 
 
+def test_operator_is_isolated_from_its_input():
+    # a writable input is copied: changing it afterwards leaves the operator alone
+    mat = np.diag([1.0, -1.0]).astype(complex)
+    h = HermitianOperator(mat, (2,))
+    mat[0, 0] = 5.0
+    assert h.matrix[0, 0] == 1.0
+    assert not h.matrix.flags.writeable
+    # a locked complex array that owns its data is kept as it is
+    locked = np.diag([1.0, -1.0]).astype(complex)
+    locked.setflags(write=False)
+    assert HermitianOperator(locked, (2,)).matrix is locked
+
+
 def test_density_rejects_bad_trace_and_negativity():
     with pytest.raises(ValueError, match="trace"):
         DensityOperator(np.eye(2), (2,))

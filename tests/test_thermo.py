@@ -11,7 +11,6 @@ from thermwit import (
     canonical_scalars,
     check_eq3,
     eig_hermitian,
-    ensemble_from_decomposition,
     quantum_relative_entropy,
     rel_entropy_pure_to_thermal,
     thermal_ensemble,
@@ -33,12 +32,12 @@ def heis2():
 # ---------------------------------------------------------------------------
 
 def test_two_level_high_temperature_limit():
-    ens = thermal_ensemble(level_system([0.0, 1.0]), 1e6)
+    ens = thermal_ensemble(eig_hermitian(level_system([0.0, 1.0])), 1e6)
     assert abs(ens.S - LN2) <= 1e-6
 
 
 def test_heisenberg_two_site_closed_form():
-    ens = thermal_ensemble(heis2(), 1.0)
+    ens = thermal_ensemble(eig_hermitian(heis2()), 1.0)
     ref = heis2_closed_form(1.0)
     assert ens.Z == pytest.approx(ref["Z"], rel=1e-12)
     assert ens.p == pytest.approx(ref["p"], rel=1e-12)
@@ -51,13 +50,14 @@ def test_heisenberg_two_site_closed_form():
 
 
 def test_low_temperature_third_law_limit():
-    ens = thermal_ensemble(heis2(), 1e-6)
+    ens = thermal_ensemble(eig_hermitian(heis2()), 1e-6)
     assert ens.S <= 1e-6
     assert ens.p >= 1 - 1e-6
 
 
 def test_rho_t_is_valid_state_and_commutes():
-    ens = thermal_ensemble(heis2(), 0.75)
+    ens = thermal_ensemble(eig_hermitian(heis2()), 0.75)
+    assert "rho_T" not in vars(ens)  # built on first read
     h = heis2()
     comm = ens.rho_T.matrix @ h.matrix - h.matrix @ ens.rho_T.matrix
     assert np.max(np.abs(comm)) <= 1e-9
@@ -67,8 +67,12 @@ def test_rho_t_is_valid_state_and_commutes():
 
 
 def test_rejects_nonpositive_temperature():
-    with pytest.raises(ValueError, match="positive"):
-        thermal_ensemble(heis2(), 0.0)
+    spectral = eig_hermitian(heis2())
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            thermal_ensemble(spectral, t)
+        with pytest.raises(ValueError, match="positive"):
+            canonical_scalars(spectral.eigenvalues, t)
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +80,25 @@ def test_rejects_nonpositive_temperature():
 # ---------------------------------------------------------------------------
 
 def test_ground_weight_equal_mixing_limit():
-    ens = thermal_ensemble(level_system([0.0, 1.0]), 1e9)
+    ens = thermal_ensemble(eig_hermitian(level_system([0.0, 1.0])), 1e9)
     assert ens.p == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ground_weight_exact_half():
     # p = 1/2 exactly when exp(4 beta) = 3 for the (-3, 1, 1, 1) spectrum
-    ens = thermal_ensemble(heis2(), 4.0 / math.log(3.0))
+    ens = thermal_ensemble(eig_hermitian(heis2()), 4.0 / math.log(3.0))
     assert ens.p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ground_weight_degenerate_level_is_per_state():
-    ens = thermal_ensemble(level_system([0.0, 0.0]), 3.7)
+    ens = thermal_ensemble(eig_hermitian(level_system([0.0, 0.0])), 3.7)
     assert ens.p == pytest.approx(0.5, abs=1e-12)
     assert ens.ground_degeneracy == 2
 
 
 def test_weight_matches_boltzmann_formula():
     for t in (0.3, 1.0, 7.0):
-        ens = thermal_ensemble(heis2(), t)
+        ens = thermal_ensemble(eig_hermitian(heis2()), t)
         direct = math.exp(-ens.beta * (-3.0) - ens.log_Z)
         assert ens.p == pytest.approx(direct, rel=1e-12)
 
@@ -106,7 +110,7 @@ def test_weight_matches_boltzmann_formula():
 def test_ground_state_gives_minus_log_weight():
     h = heis2()
     dec = eig_hermitian(h)
-    ens = ensemble_from_decomposition(dec, h.dims, 1.3)
+    ens = thermal_ensemble(dec, 1.3)
     psi = PureState(dec.eigenvectors[:, 0], h.dims)
     assert rel_entropy_pure_to_thermal(psi, ens) == pytest.approx(
         -math.log(ens.p), abs=1e-9
@@ -115,7 +119,7 @@ def test_ground_state_gives_minus_log_weight():
 
 def test_excited_two_level_closed_form():
     h = level_system([0.0, 1.0])
-    ens = thermal_ensemble(h, 1.0)
+    ens = thermal_ensemble(eig_hermitian(h), 1.0)
     psi = PureState(np.array([0, 1], dtype=complex), (2,))
     expect = 1.0 + math.log(1 + math.exp(-1.0))
     assert rel_entropy_pure_to_thermal(psi, ens) == pytest.approx(expect, abs=1e-12)
@@ -123,7 +127,7 @@ def test_excited_two_level_closed_form():
 
 def test_matches_general_relative_entropy(rng):
     h = heis2()
-    ens = thermal_ensemble(h, 2.0)
+    ens = thermal_ensemble(eig_hermitian(h), 2.0)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = PureState(v / np.linalg.norm(v), (2, 2))
     closed = rel_entropy_pure_to_thermal(psi, ens)
@@ -132,7 +136,7 @@ def test_matches_general_relative_entropy(rng):
 
 
 def test_dimension_mismatch_rejected():
-    ens = thermal_ensemble(level_system([0.0, 1.0]), 1.0)
+    ens = thermal_ensemble(eig_hermitian(level_system([0.0, 1.0])), 1.0)
     psi = PureState(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
     with pytest.raises(ValueError, match="mismatch"):
         rel_entropy_pure_to_thermal(psi, ens)
@@ -143,7 +147,7 @@ def test_dimension_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_chain_equality_at_infinite_temperature():
-    ens = thermal_ensemble(level_system([0.0, 1.0]), 1e9)
+    ens = thermal_ensemble(eig_hermitian(level_system([0.0, 1.0])), 1e9)
     chk = check_eq3(ens)
     assert chk.holds
     assert abs(chk.p - chk.exp_neg_S) <= 1e-6
@@ -151,7 +155,7 @@ def test_chain_equality_at_infinite_temperature():
 
 
 def test_chain_equality_at_zero_temperature():
-    ens = thermal_ensemble(heis2(), 1e-6)
+    ens = thermal_ensemble(eig_hermitian(heis2()), 1e-6)
     chk = check_eq3(ens)
     assert chk.holds
     assert abs(chk.p - chk.exp_neg_S) <= 1e-12
@@ -159,7 +163,7 @@ def test_chain_equality_at_zero_temperature():
 
 def test_chain_strict_on_random_spectrum(rng):
     energies = np.sort(rng.uniform(-1, 1, 6))
-    ens = thermal_ensemble(level_system(energies), 1.0)
+    ens = thermal_ensemble(eig_hermitian(level_system(energies)), 1.0)
     chk = check_eq3(ens)
     assert chk.holds
     assert chk.slack == pytest.approx(ens.beta * (ens.U - energies[0]), rel=1e-12)
