@@ -52,7 +52,7 @@ def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScal
     return CanonicalScalars(log_Z=log_z, F=f, U=u, S=s, p=1.0 / sw)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ThermalEnsemble(CanonicalScalars):
     """Gibbs state of a diagonalized Hamiltonian at one temperature: the
     canonical scalars together with the spectrum they were computed from."""

@@ -154,9 +154,10 @@ def sweep(
 
     The ground-state entanglement bounds are computed once and reused across
     the grid; the REE upper bound is computed only when ``fw_config`` is
-    given. The threshold temperatures come from ``critical_temperature``
-    bracketed by the grid ends (upper end auto-expanded), so their accuracy
-    is ``t_star_tol`` regardless of grid density.
+    given, and ``EntanglementEstimate`` checks it against the lower one. The
+    threshold temperatures come from ``critical_temperature`` bracketed by
+    the grid ends (upper end auto-expanded), so their accuracy is
+    ``t_star_tol`` regardless of grid density.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
