@@ -24,7 +24,6 @@ from .qops import (
     von_neumann_entropy,
 )
 from .models import (
-    GroundStateResult,
     ModeSpectrum,
     SpinModelSpec,
     build_spin_hamiltonian,

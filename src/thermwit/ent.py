@@ -15,6 +15,7 @@ only makes the witness fire less).
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -26,10 +27,12 @@ from .qops import (
     EIG_CLAMP,
     HermitianOperator,
     PureState,
-    _AXIS_LETTERS,
     partial_transpose,
     von_neumann_entropy,
 )
+
+#: einsum subscript letters, one per tensor axis.
+_AXIS_LETTERS = string.ascii_letters
 
 #: Eigenvalue-gap threshold below which the log divided difference switches
 #: to its limit form.
@@ -106,8 +109,11 @@ class ProductStateAnsatz:
 class FrankWolfeConfig:
     max_iter: int = 500
     tol: float = 1e-4          # duality-gap stopping threshold
-    restarts: int = 4          # fresh multistarts per linear-oracle call
+    restarts: int = 4          # fresh multistarts per linear-oracle call, >= 1
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        _check_restarts(self.restarts)
 
 
 @dataclass(frozen=True)
@@ -192,6 +198,11 @@ def _effective_site_operator(
     return np.einsum(expr, *operands)
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 def _random_factors(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
     out = []
     for d in dims:
@@ -251,11 +262,12 @@ def closest_product_state(
     """Extremal expectation of ``target`` over product pure states.
 
     ``mode`` is ``"maximize"`` or ``"minimize"``. Deterministic for a fixed
-    seed; the returned value is the best over ``restarts`` seeded random
-    initializations of the alternating optimization.
+    seed; the returned value is the best over ``restarts`` (at least 1)
+    seeded random initializations of the alternating optimization.
     """
     if mode not in ("maximize", "minimize"):
         raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
+    _check_restarts(restarts)
     rng = np.random.default_rng(seed)
     val, factors = _alternating_extreme(target.matrix, target.dims, mode, rng, restarts)
     return ProductStateAnsatz(factors=tuple(factors)), val

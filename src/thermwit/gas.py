@@ -124,7 +124,7 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
             lo = mu
         else:
             hi = mu
-        if hi - lo <= 4 * np.finfo(float).eps * max(1.0, abs(mu)):
+        if hi - lo <= 4 * np.finfo(float).eps * abs(mu):  # relative: |mu| may be << 1
             break
     if not done(total(mu)):
         raise RuntimeError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -82,13 +81,6 @@ class SpinModelSpec:
             object.__setattr__(self, "custom_terms", terms)
         elif self.custom_terms is not None:
             raise ValueError("custom_terms are only allowed with kind='custom_terms'")
-
-
-@dataclass(frozen=True, eq=False)
-class GroundStateResult:
-    state: PureState
-    energy: float
-    degeneracy: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +182,9 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
     return HermitianOperator(h, (2,) * n)
 
 
-def ground_state(spectral: SpectralDecomposition) -> GroundStateResult:
-    """Lowest eigenpair with the degeneracy count of the ground level.
+def ground_state(spectral: SpectralDecomposition) -> PureState:
+    """The canonical ground vector; E0 and the degeneracy of the ground level
+    are ``spectral.eigenvalues[0]`` and ``spectral.ground_degeneracy``.
 
     The state follows one rule for every ground level: project a fixed
     reference vector (the first d complex draws of the ``ground-vector``
@@ -201,17 +194,11 @@ def ground_state(spectral: SpectralDecomposition) -> GroundStateResult:
     ground level the eigensolver returns, and for a nondegenerate ground
     level it is that level's eigenvector.
     """
-    energies = spectral.eigenvalues
-    degeneracy = spectral.ground_degeneracy
-    basis = spectral.columns(degeneracy)
-    draws = named_rng(0, "ground-vector").standard_normal(2 * energies.size)
+    basis = spectral.columns(spectral.ground_degeneracy)
+    draws = named_rng(0, "ground-vector").standard_normal(2 * spectral.eigenvalues.size)
     vec = basis @ (basis.conj().T @ draws.view(np.complex128))
     vec /= np.linalg.norm(vec)
-    return GroundStateResult(
-        state=PureState(_fix_phases(vec[:, None])[:, 0], spectral.dims),
-        energy=float(energies[0]),
-        degeneracy=degeneracy,
-    )
+    return PureState(_fix_phases(vec[:, None])[:, 0], spectral.dims)
 
 
 def make_spectrum(
@@ -221,13 +208,12 @@ def make_spectrum(
     n_modes: int | None = None,
     omega: float | None = None,
     velocity: float | None = None,
-    frequencies: Sequence[float] | None = None,
     particle_target: float | None = None,
     chemical_potential: float | None = None,
 ) -> ModeSpectrum:
-    """Build a ModeSpectrum: ``uniform`` (n_modes copies of omega),
-    ``linear_dispersion`` (velocity * k for k = 1..n_modes) or ``custom``
-    (validated pass-through, sorted ascending)."""
+    """Build a ModeSpectrum: ``uniform`` (n_modes copies of omega) or
+    ``linear_dispersion`` (velocity * k for k = 1..n_modes). An explicit
+    frequency list is a ``ModeSpectrum`` itself."""
     if kind == "uniform":
         if n_modes is None or omega is None:
             raise ValueError("uniform spectrum needs n_modes and omega")
@@ -236,10 +222,6 @@ def make_spectrum(
         if n_modes is None or velocity is None:
             raise ValueError("linear_dispersion spectrum needs n_modes and velocity")
         freqs = float(velocity) * np.arange(1, int(n_modes) + 1, dtype=np.float64)
-    elif kind == "custom":
-        if frequencies is None:
-            raise ValueError("custom spectrum needs explicit frequencies")
-        freqs = np.asarray(frequencies, dtype=np.float64)
     else:
         raise ValueError(f"unknown spectrum kind {kind!r}")
     return ModeSpectrum(

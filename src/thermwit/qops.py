@@ -14,7 +14,6 @@ as read-only complex arrays and may be shared freely across threads.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -44,17 +43,15 @@ class DimensionCapError(ValueError):
     """Requested Hilbert space exceeds the dense-storage dimension cap."""
 
 
-def _check_dims(dims: Iterable[int], cap: int | None = None) -> tuple[int, ...]:
+def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if len(dims) < 1:
         raise ValueError("need at least one site")
     if any(d < 2 for d in dims):
         raise ValueError(f"every local dimension must be >= 2, got {dims}")
     total = math.prod(dims)
-    if total > (DIM_CAP if cap is None else cap):
-        raise DimensionCapError(
-            f"total dimension {total} exceeds cap {DIM_CAP if cap is None else cap}"
-        )
+    if total > DIM_CAP:
+        raise DimensionCapError(f"total dimension {total} exceeds cap {DIM_CAP}")
     return dims
 
 
@@ -121,15 +118,6 @@ class DensityOperator(HermitianOperator):
             raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-10")
 
 
-def _density_unchecked(matrix: np.ndarray, dims: tuple[int, ...]) -> DensityOperator:
-    # For internal assembly paths where positivity/trace hold by construction;
-    # skips the O(d^3) validation of the public constructor.
-    obj = object.__new__(DensityOperator)
-    object.__setattr__(obj, "matrix", _as_locked_complex(matrix))
-    object.__setattr__(obj, "dims", tuple(dims))
-    return obj
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector on a multi-site Hilbert space."""
@@ -151,8 +139,7 @@ class PureState:
 
     def to_density(self) -> DensityOperator:
         """Projector |psi><psi| as a DensityOperator."""
-        mat = np.outer(self.amplitudes, self.amplitudes.conj())
-        return _density_unchecked(mat, self.dims)
+        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,10 +250,6 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return HermitianOperator(np.kron(a.matrix, b.matrix), dims)
 
 
-#: einsum subscript letters, one per tensor axis.
-_AXIS_LETTERS = string.ascii_letters
-
-
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Reduced state on the kept sites (trace over the complement)."""
     keep = sorted(set(int(k) for k in keep))
@@ -275,20 +258,11 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"site index out of range for {n} sites: {keep}")
-    tensor = rho.matrix.reshape(rho.dims * 2)
-    bra = list(_AXIS_LETTERS[:n])
-    ket = []
-    next_letter = n
-    for i in range(n):
-        if i in keep:
-            ket.append(_AXIS_LETTERS[next_letter])
-            next_letter += 1
-        else:
-            ket.append(bra[i])  # trace: same index on bra and ket
-    out_sub = "".join(bra[i] for i in keep) + "".join(ket[i] for i in keep)
-    reduced = np.einsum("".join(bra) + "".join(ket) + "->" + out_sub, tensor)
+    order = keep + [i for i in range(n) if i not in keep]
     d_keep = math.prod(rho.dims[i] for i in keep)
-    reduced = reduced.reshape(d_keep, d_keep)
+    d_rest = rho.dim // d_keep
+    tensor = rho.matrix.reshape(rho.dims * 2).transpose(order + [n + i for i in order])
+    reduced = np.trace(tensor.reshape(d_keep, d_rest, d_keep, d_rest), axis1=1, axis2=3)
     reduced = 0.5 * (reduced + reduced.conj().T)
     return DensityOperator(reduced, tuple(rho.dims[i] for i in keep))
 

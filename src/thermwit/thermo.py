@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qops import DensityOperator, PureState, SpectralDecomposition, _density_unchecked
+from .qops import DensityOperator, PureState, SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class ThermalEnsemble(CanonicalScalars):
         return 1.0 / self.temperature
 
     @property
-    def ground_degeneracy(self) -> int:
-        return self.spectral.ground_degeneracy
-
-    @property
     def Z(self) -> float:
         """Partition function; may overflow to inf when |log_Z| > ~709."""
         try:
@@ -84,7 +80,7 @@ class ThermalEnsemble(CanonicalScalars):
         probs /= probs.sum()
         vecs = self.spectral.eigenvectors
         rho = (vecs * probs) @ vecs.conj().T
-        return _density_unchecked(0.5 * (rho + rho.conj().T), self.spectral.dims)
+        return DensityOperator(0.5 * (rho + rho.conj().T), self.spectral.dims)
 
 
 def thermal_ensemble(spectral: SpectralDecomposition, temperature: float) -> ThermalEnsemble:

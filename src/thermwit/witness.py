@@ -114,13 +114,16 @@ def critical_temperature(
     -ln p(T); both are nondecreasing in T. Returns None when the witness does
     not fire at the bottom of the bracket (including the degenerate-ground
     case S(0) = ln g >= e_lower), or when no crossing is found after
-    expanding the top of the bracket up to 1e6.
+    expanding the top of the bracket up to 1e6. Bisection stops at width
+    ``tol`` (finite and positive) or when no float lies between the ends.
     """
     if kind not in ("eq2", "eq4"):
         raise ValueError(f"kind must be 'eq2' or 'eq4', got {kind!r}")
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (0 < t_lo < t_hi):
         raise ValueError(f"invalid bracket {bracket}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if e_lower <= 0:
         return None
 
@@ -134,7 +137,7 @@ def critical_temperature(
         t_hi *= 10.0
         if t_hi > T_CEILING:
             return None
-    while t_hi - t_lo >= tol:
+    while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
         mid = 0.5 * (t_lo + t_hi)
         if quantity(mid) < e_lower:
             t_lo = mid
@@ -164,12 +167,14 @@ def sweep(
         raise ValueError("temperature grid must be nonempty")
     if not all(0 < t < math.inf for t in grid):
         raise ValueError("temperatures must be finite and positive")
+    if not 0 < t_star_tol < math.inf:
+        raise ValueError(f"t_star_tol must be finite and positive, got {t_star_tol}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    gs = ground_state(spectral)
-    est = ree_lower_bound(gs.state)
+    psi = ground_state(spectral)
+    est = ree_lower_bound(psi)
     if fw_config is not None:
-        est = replace(est, upper=ree_upper_bound(gs.state.to_density(), fw_config).upper)
+        est = replace(est, upper=ree_upper_bound(psi.to_density(), fw_config).upper)
     reports = tuple(evaluate_witness(spectral, t, est) for t in grid)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
     t_star_eq2, t_star_eq4 = (

@@ -8,6 +8,7 @@ Bloch-grid product optimizer, closed-form four-level thermodynamics).
 
 import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -145,8 +146,7 @@ def test_criterion_04_gas_entropy_vs_free_energy_derivative():
                 # T-independent offset to F, and the central difference can
                 # only resolve S above that offset's rounding floor
                 mu = float(rng.choice(freqs) + rng.uniform(-0.05, 0.05))
-            sp = tw.make_spectrum("custom", frequencies=freqs, statistics=stats,
-                                  chemical_potential=mu)
+            sp = tw.ModeSpectrum(freqs, statistics=stats, chemical_potential=mu)
             for t in np.geomspace(0.01, 100.0, 12):
                 t = float(t)
                 delta = 1e-4 * t
@@ -205,8 +205,7 @@ def test_criterion_07_classical_gas_never_detected():
         m = int(rng.integers(4, 33))
         freqs = np.sort(rng.uniform(0.2, 2.5, m))
         n = float(m)
-        sp = tw.make_spectrum("custom", frequencies=freqs, statistics="boltzmann",
-                              particle_target=n)
+        sp = tw.ModeSpectrum(freqs, statistics="boltzmann", particle_target=n)
         scale = tw.geometric_frequency_scale(sp, n)
         for t in np.linspace(scale, 100.0 * scale, 100):
             if tw.mb_witness_check(sp, n, float(t)).fires:
@@ -288,8 +287,7 @@ def test_criterion_11_third_law():
         monotone = monotone and bool(np.all(np.diff(ss) >= -1e-10))
     # gapped gas systems (chemical potential pinned inside a gap)
     for stats, mu in (("bose", 0.0), ("fermi", 0.2), ("fermi", 1.3)):
-        sp = tw.make_spectrum("custom", frequencies=[0.5, 1.0, 1.7], statistics=stats,
-                              chemical_potential=mu)
+        sp = tw.ModeSpectrum([0.5, 1.0, 1.7], statistics=stats, chemical_potential=mu)
         worst_cold = max(worst_cold, tw.gas_state(sp, 1e-6).S)
         ss = [tw.gas_state(sp, float(t)).S for t in np.geomspace(1e-3, 10.0, 30)]
         monotone = monotone and bool(np.all(np.diff(ss) >= -1e-12))
@@ -300,8 +298,10 @@ def test_criterion_11_third_law():
 
 def test_criterion_12_determinism(tmp_path):
     a, b = io.StringIO(), io.StringIO()
-    run_selfcheck(seed=42, stream=a)
-    run_selfcheck(seed=42, stream=b)
+    with redirect_stdout(a):
+        run_selfcheck(seed=42)
+    with redirect_stdout(b):
+        run_selfcheck(seed=42)
     selfcheck_ok = a.getvalue() == b.getvalue()
 
     model = tmp_path / "model.json"

@@ -1,9 +1,9 @@
-import io
 import json
 import math
 
 import pytest
 
+from thermwit import cli
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -127,6 +127,20 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_bad_tstar_tol_or_restarts_exits_2(tmp_path, capsys):
+    model = write_model(tmp_path, HEIS2)
+    for argv, message in (
+        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "0"], "t_star_tol must be"),
+        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "nan"], "t_star_tol must be"),
+        (["ree", "--restarts", "0"], "restarts must be at least 1"),
+        (["energy-witness", "--restarts", "0"], "restarts must be at least 1"),
+    ):
+        assert main(argv + ["--model", model]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_unknown_model_key_exits_2(tmp_path, capsys):
     model = write_model(tmp_path, {"kind": "heisenberg", "n_sites": 2, "Jx": 1.0})
     assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -235,37 +249,48 @@ def test_energy_witness_command(tmp_path):
 # selfcheck
 # ---------------------------------------------------------------------------
 
-def test_selfcheck_passes():
-    buf = io.StringIO()
-    assert run_selfcheck(seed=42, stream=buf) == EXIT_OK
-    text = buf.getvalue()
+def fail_property(monkeypatch, failing):
+    """Make the selfcheck suite report ``failing`` as failed."""
+    real = cli._selfcheck_properties
+
+    def properties(seed):
+        for name, ok, detail in real(seed):
+            yield name, ok and name != failing, detail
+
+    monkeypatch.setattr(cli, "_selfcheck_properties", properties)
+
+
+def test_selfcheck_passes(capsys):
+    assert run_selfcheck(seed=42) == EXIT_OK
+    text = capsys.readouterr().out
     assert text.count("PASS") == 4
     assert "FAIL" not in text
     assert text.rstrip().endswith("selfcheck: OK")
 
 
-def test_selfcheck_corrupted_tolerance_names_the_property():
-    buf = io.StringIO()
-    assert run_selfcheck(seed=42, corrupt="entropy-identity", stream=buf) == EXIT_SELFCHECK
-    text = buf.getvalue()
+def test_selfcheck_corrupted_tolerance_names_the_property(monkeypatch, capsys):
+    fail_property(monkeypatch, "entropy-identity")
+    assert run_selfcheck(seed=42) == EXIT_SELFCHECK
+    text = capsys.readouterr().out
     assert "FAIL entropy-identity" in text
     assert "selfcheck: FAILED (entropy-identity)" in text
 
 
-def test_selfcheck_via_main_exit_code():
+def test_selfcheck_via_main_exit_code(monkeypatch):
     assert main(["selfcheck"]) == EXIT_OK
-    assert main(["selfcheck", "--corrupt", "witness-implication"]) == EXIT_SELFCHECK
+    fail_property(monkeypatch, "witness-implication")
+    assert main(["selfcheck"]) == EXIT_SELFCHECK
 
 
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_selfcheck_byte_identical_across_runs():
-    a, b = io.StringIO(), io.StringIO()
-    run_selfcheck(seed=7, stream=a)
-    run_selfcheck(seed=7, stream=b)
-    assert a.getvalue() == b.getvalue()
+def test_selfcheck_byte_identical_across_runs(capsys):
+    run_selfcheck(seed=7)
+    a = capsys.readouterr().out
+    run_selfcheck(seed=7)
+    assert capsys.readouterr().out == a
 
 
 def test_sweep_outputs_byte_identical(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thermwit import (
     DensityOperator,
@@ -158,6 +159,24 @@ def test_upper_bound_schmidt_family(lam):
     assert abs(est.upper - exact) <= 2e-2
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.sampled_from([2, 3]),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+)
+def test_lower_never_exceeds_upper_on_random_states(n_sites, parts):
+    # every Frank-Wolfe iterate is separable, so the bound holds from the start
+    d = 2 ** n_sites
+    amps = np.array(parts[:d]) + 1j * np.array(parts[d:2 * d])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    psi = PureState(amps / norm, (2,) * n_sites)
+    lower = ree_lower_bound(psi).lower
+    for k in (0, 1, 2):
+        upper = ree_upper_bound(psi.to_density(), FrankWolfeConfig(max_iter=k, restarts=1))
+        assert lower <= upper.upper + 1e-9
+
+
 def test_sandwich_on_named_states():
     for psi in (bell_pure(), ghz_pure(), w_pure()):
         lower = ree_lower_bound(psi).lower
@@ -230,6 +249,17 @@ def test_closest_product_deterministic():
 def test_closest_product_rejects_bad_mode():
     with pytest.raises(ValueError, match="mode"):
         closest_product_state(heis2(), "extremize")
+
+
+def test_restarts_below_one_rejected():
+    # with no start the alternating optimizer has no factors to return
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            closest_product_state(heis2(), "minimize", restarts=restarts)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            energy_witness(heis2(), energy=-3.0, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            FrankWolfeConfig(restarts=restarts)
 
 
 # ---------------------------------------------------------------------------

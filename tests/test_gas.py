@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermwit import (
+    ModeSpectrum,
     critical_temperature_estimate,
     default_fit_window,
     fit_entropy_scaling,
@@ -20,8 +21,7 @@ LN2 = math.log(2.0)
 
 
 def fermi4(n_target):
-    return make_spectrum("custom", frequencies=[1.0, 2.0, 3.0, 4.0],
-                         statistics="fermi", particle_target=n_target)
+    return ModeSpectrum([1.0, 2.0, 3.0, 4.0], statistics="fermi", particle_target=n_target)
 
 
 def phonons():
@@ -82,16 +82,24 @@ def test_fermi_particle_hole_symmetric_midpoint():
 
 
 def test_bose_condensation_limit():
-    sp = make_spectrum("custom", frequencies=[1.0, 2.0], statistics="bose",
-                       particle_target=1e4)
+    sp = ModeSpectrum([1.0, 2.0], statistics="bose", particle_target=1e4)
     mu = solve_mu(sp, 1e4, 1.0)
     assert mu < 1.0
     assert 1.0 - mu < 1e-3
 
 
+def test_bose_target_solves_when_mu_is_small():
+    # near condensation with |mu| < 1: an absolute bisection floor of ~9e-16
+    # moved N by ~2e-5 per step and stopped short of the target
+    sp = make_spectrum("linear_dispersion", statistics="bose", n_modes=2, velocity=5e-4,
+                       particle_target=1000.0)
+    st = gas_state(sp, 1e-3)
+    assert 0 < st.mu < 5e-4
+    assert st.N_actual == pytest.approx(1000.0, rel=1e-11)
+
+
 def test_boltzmann_mu_closed_form():
-    sp = make_spectrum("custom", frequencies=[1.0, 2.0, 3.0], statistics="boltzmann",
-                       particle_target=2.0)
+    sp = ModeSpectrum([1.0, 2.0, 3.0], statistics="boltzmann", particle_target=2.0)
     st = gas_state(sp, 1.7)
     assert st.N_actual == pytest.approx(2.0, abs=1e-12)
 
@@ -103,8 +111,7 @@ def test_fermi_pauli_bound():
 
 def test_targeted_states_hit_the_target():
     for stats, target in (("fermi", 2.0), ("bose", 3.0), ("boltzmann", 2.0)):
-        sp = make_spectrum("custom", frequencies=[0.5, 1.0, 1.5, 2.5],
-                           statistics=stats, particle_target=target)
+        sp = ModeSpectrum([0.5, 1.0, 1.5, 2.5], statistics=stats, particle_target=target)
         for t in (0.1, 1.0, 10.0):
             st = gas_state(sp, t)
             assert abs(st.N_actual - target) <= 1e-8
@@ -117,30 +124,26 @@ def test_targeted_states_hit_the_target():
 # ---------------------------------------------------------------------------
 
 def test_bose_single_mode_unit_occupation_entropy():
-    sp = make_spectrum("custom", frequencies=[LN2], statistics="bose",
-                       chemical_potential=0.0)
+    sp = ModeSpectrum([LN2], statistics="bose", chemical_potential=0.0)
     st = gas_state(sp, 1.0)
     assert st.occupations[0] == pytest.approx(1.0, abs=1e-12)
     assert st.S == pytest.approx(2 * LN2, abs=1e-12)
 
 
 def test_fermi_half_filled_mode_entropy():
-    sp = make_spectrum("custom", frequencies=[2.0], statistics="fermi",
-                       chemical_potential=2.0)
+    sp = ModeSpectrum([2.0], statistics="fermi", chemical_potential=2.0)
     st = gas_state(sp, 0.8)
     assert st.S == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_vanishes_when_frozen():
-    sp = make_spectrum("custom", frequencies=[1.0, 2.0], statistics="bose",
-                       chemical_potential=0.0)
+    sp = ModeSpectrum([1.0, 2.0], statistics="bose", chemical_potential=0.0)
     st = gas_state(sp, 1e-6)
     assert st.S == pytest.approx(0.0, abs=1e-30)
 
 
 def test_fermi_single_mode_free_energy():
-    sp = make_spectrum("custom", frequencies=[1.3], statistics="fermi",
-                       chemical_potential=0.0)
+    sp = ModeSpectrum([1.3], statistics="fermi", chemical_potential=0.0)
     for t in (0.5, 2.0):
         st = gas_state(sp, t)
         assert st.F == pytest.approx(
@@ -150,15 +153,13 @@ def test_fermi_single_mode_free_energy():
 
 def test_bose_single_mode_free_energy():
     # (omega - mu)/T = ln 2  ->  F = T ln(1 - 1/2) = -T ln 2
-    sp = make_spectrum("custom", frequencies=[LN2], statistics="bose",
-                       chemical_potential=0.0)
+    sp = ModeSpectrum([LN2], statistics="bose", chemical_potential=0.0)
     st = gas_state(sp, 1.0)
     assert st.F == pytest.approx(-LN2, abs=1e-12)
 
 
 def test_free_energy_vanishes_at_zero_temperature():
-    sp = make_spectrum("custom", frequencies=[1.0], statistics="bose",
-                       chemical_potential=0.3)
+    sp = ModeSpectrum([1.0], statistics="bose", chemical_potential=0.3)
     st = gas_state(sp, 1e-6)
     assert abs(st.F) <= 1e-30
 
@@ -171,8 +172,7 @@ def test_entropy_matches_free_energy_derivative(rng):
             mu = float(freqs[0] - rng.uniform(0.1, 0.5)) if stats == "bose" else float(
                 rng.uniform(0.1, 1.2)
             )
-            sp = make_spectrum("custom", frequencies=freqs, statistics=stats,
-                               chemical_potential=mu)
+            sp = ModeSpectrum(freqs, statistics=stats, chemical_potential=mu)
             for t in (0.05, 0.6, 8.0):
                 delta = 1e-4 * t
                 s = gas_state(sp, t).S
@@ -181,8 +181,7 @@ def test_entropy_matches_free_energy_derivative(rng):
 
 
 def test_third_law_monotone(rng):
-    sp = make_spectrum("custom", frequencies=[0.5, 1.0, 1.7], statistics="fermi",
-                       chemical_potential=0.2)
+    sp = ModeSpectrum([0.5, 1.0, 1.7], statistics="fermi", chemical_potential=0.2)
     entropies = [gas_state(sp, float(t)).S for t in np.geomspace(1e-3, 10, 25)]
     assert entropies[0] <= 1e-30
     assert np.all(np.diff(entropies) >= -1e-12)
@@ -195,8 +194,7 @@ def test_classical_limit_agreement(rng):
         t = 10.0 * float(freqs[-1])
         entropies = {}
         for stats in ("bose", "fermi", "boltzmann"):
-            sp = make_spectrum("custom", frequencies=freqs, statistics=stats,
-                               particle_target=2.0)
+            sp = ModeSpectrum(freqs, statistics=stats, particle_target=2.0)
             entropies[stats] = gas_state(sp, t).S
         ref = entropies["boltzmann"]
         assert abs(entropies["bose"] - ref) / ref <= 0.05
@@ -246,8 +244,7 @@ def test_fit_input_validation():
     with pytest.raises(ValueError, match="ascending"):
         fit_entropy_scaling(sp, [0.2, 0.1] + [0.3 + 0.01 * k for k in range(8)])
     with pytest.raises(ValueError, match="nonpositive entropy"):
-        gapped = make_spectrum("custom", frequencies=[1.0, 2.0], statistics="bose",
-                               chemical_potential=0.0)
+        gapped = ModeSpectrum([1.0, 2.0], statistics="bose", chemical_potential=0.0)
         fit_entropy_scaling(gapped, np.geomspace(1e-4, 2e-4, 9))
     half_filled = make_spectrum("uniform", n_modes=4, omega=1.0, statistics="fermi",
                                 particle_target=2.0)
@@ -310,8 +307,7 @@ def test_mb_never_fires_on_grid(rng):
     for _ in range(5):
         m = int(rng.integers(4, 17))
         freqs = np.sort(rng.uniform(0.2, 2.5, m))
-        sp = make_spectrum("custom", frequencies=freqs, statistics="boltzmann",
-                           particle_target=float(m))
+        sp = ModeSpectrum(freqs, statistics="boltzmann", particle_target=float(m))
         scale = geometric_frequency_scale(sp, float(m))
         for t in np.linspace(scale, 100 * scale, 50):
             assert not mb_witness_check(sp, float(m), float(t)).fires

@@ -5,6 +5,7 @@ import pytest
 
 from thermwit import (
     DimensionCapError,
+    ModeSpectrum,
     SpectralDecomposition,
     SpinModelSpec,
     build_spin_hamiltonian,
@@ -42,11 +43,11 @@ def test_transverse_ising_noninteracting_limit():
     h = build_spin_hamiltonian(spec)
     expect = -(np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX))
     assert np.allclose(h.matrix, expect)
-    gs = ground_state(eig_hermitian(h))
-    assert gs.energy == pytest.approx(-2.0, abs=1e-12)
-    assert gs.degeneracy == 1
+    dec = eig_hermitian(h)
+    assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
+    assert dec.ground_degeneracy == 1
     plus = np.array([1, 1]) / np.sqrt(2)
-    overlap = abs(np.vdot(gs.state.amplitudes, np.kron(plus, plus))) ** 2
+    overlap = abs(np.vdot(ground_state(dec).amplitudes, np.kron(plus, plus))) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -134,34 +135,35 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
 # ---------------------------------------------------------------------------
 
 def test_ground_state_singlet():
-    gs = ground_state(eig_hermitian(heis(2)))
-    assert gs.energy == pytest.approx(-3.0, abs=1e-12)
-    assert gs.degeneracy == 1
+    dec = eig_hermitian(heis(2))
+    assert dec.eigenvalues[0] == pytest.approx(-3.0, abs=1e-12)
+    assert dec.ground_degeneracy == 1
     s = 1 / np.sqrt(2)
-    assert np.allclose(gs.state.amplitudes, [0, s, -s, 0], atol=1e-10)
+    assert np.allclose(ground_state(dec).amplitudes, [0, s, -s, 0], atol=1e-10)
 
 
 def test_ground_state_degeneracy_flagged():
     spec = SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "Z", 1.0),))
-    gs = ground_state(eig_hermitian(build_spin_hamiltonian(spec)))  # Z x I ignores site 1
-    assert gs.degeneracy == 2
-    assert gs.energy == pytest.approx(-1.0, abs=1e-12)
+    dec = eig_hermitian(build_spin_hamiltonian(spec))  # Z x I ignores site 1
+    assert dec.ground_degeneracy == 2
+    assert dec.eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_canonical_ground_vector_is_basis_independent(rng):
     h = heis(5, boundary="periodic")  # fourfold degenerate ground level
-    gs = ground_state(eig_hermitian(h))
-    assert gs.degeneracy == 4
+    dec = eig_hermitian(h)
+    psi = ground_state(dec)
+    assert dec.ground_degeneracy == 4
     vals, vecs = np.linalg.eigh(h.matrix)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     vecs[:, :4] = vecs[:, :4] @ u
     everything = np.arange(h.dim)
     rotated = SpectralDecomposition(vals, ((everything, everything, vecs),), h.dims)
     other = ground_state(rotated)
-    assert np.max(np.abs(other.state.amplitudes - gs.state.amplitudes)) <= 1e-10
+    assert np.max(np.abs(other.amplitudes - psi.amplitudes)) <= 1e-10
     # it lies in the ground level
-    energy = np.vdot(gs.state.amplitudes, h.matrix @ gs.state.amplitudes).real
-    assert energy == pytest.approx(gs.energy, abs=1e-10)
+    energy = np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes).real
+    assert energy == pytest.approx(dec.eigenvalues[0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +208,13 @@ def test_make_spectrum_linear_dispersion():
 
 
 def test_make_spectrum_custom_sorts_ascending():
-    sp = make_spectrum("custom", frequencies=[2.0, 1.0, 3.0], statistics="boltzmann",
-                       particle_target=2.0)
+    sp = ModeSpectrum([2.0, 1.0, 3.0], statistics="boltzmann", particle_target=2.0)
     assert np.allclose(sp.frequencies, [1.0, 2.0, 3.0])
 
 
 def test_spectrum_rejects_bad_inputs():
     with pytest.raises(ValueError, match="positive"):
-        make_spectrum("custom", frequencies=[0.0, 1.0], statistics="bose",
-                      chemical_potential=-1.0)
+        ModeSpectrum([0.0, 1.0], statistics="bose", chemical_potential=-1.0)
     with pytest.raises(ValueError, match="exactly one"):
         make_spectrum("uniform", n_modes=2, omega=1.0, statistics="bose")
     with pytest.raises(ValueError, match="exactly one"):
@@ -227,14 +227,14 @@ def test_spectrum_rejects_bad_inputs():
         make_spectrum("uniform", n_modes=2, omega=1.0, statistics="anyon",
                       chemical_potential=0.0)
     with pytest.raises(ValueError, match="finite"):
-        make_spectrum("custom", frequencies=[math.nan, 1.0], statistics="bose",
-                      chemical_potential=0.0)
+        ModeSpectrum([math.nan, 1.0], statistics="bose", chemical_potential=0.0)
     with pytest.raises(ValueError, match="finite"):
-        make_spectrum("custom", frequencies=[math.inf, 1.0], statistics="fermi",
-                      particle_target=1.0)
+        ModeSpectrum([math.inf, 1.0], statistics="fermi", particle_target=1.0)
     with pytest.raises(ValueError, match="particle_target .* finite"):
         make_spectrum("uniform", n_modes=2, omega=1.0, statistics="fermi",
                       particle_target=math.nan)
     with pytest.raises(ValueError, match="chemical_potential .* finite"):
         make_spectrum("uniform", n_modes=2, omega=1.0, statistics="bose",
                       chemical_potential=math.nan)
+    with pytest.raises(ValueError, match="unknown spectrum kind"):  # use ModeSpectrum
+        make_spectrum("custom", statistics="bose", chemical_potential=0.0)

@@ -93,7 +93,7 @@ def test_ground_weight_exact_half():
 def test_ground_weight_degenerate_level_is_per_state():
     ens = thermal_ensemble(eig_hermitian(level_system([0.0, 0.0])), 3.7)
     assert ens.p == pytest.approx(0.5, abs=1e-12)
-    assert ens.ground_degeneracy == 2
+    assert ens.spectral.ground_degeneracy == 2
 
 
 def test_weight_matches_boltzmann_formula():

@@ -36,7 +36,7 @@ def heis(n, boundary="open"):
 
 
 def heis2_estimate():
-    return ree_lower_bound(ground_state(eig_hermitian(heis(2))).state)
+    return ree_lower_bound(ground_state(eig_hermitian(heis(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_evaluate_entropy_form_stops_first():
 def test_product_ground_state_never_fires():
     spec = SpinModelSpec(kind="transverse_ising", n_sites=2, coupling=0.0, field=1.0)
     h = build_spin_hamiltonian(spec)
-    est = ree_lower_bound(ground_state(eig_hermitian(h)).state)
+    est = ree_lower_bound(ground_state(eig_hermitian(h)))
     assert est.lower == pytest.approx(0.0, abs=1e-10)
     for t in (0.1, 1.0, 10.0):
         rep = evaluate_witness(eig_hermitian(h), t, est)
@@ -91,10 +91,11 @@ def test_evaluate_rejects_nonpositive_temperature():
 # ---------------------------------------------------------------------------
 
 def test_threshold_ground_weight_form_closed_value():
-    t_star = critical_temperature(
-        eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.1, 10.0), tol=1e-6
-    )
-    assert t_star == pytest.approx(HEIS2_T_STAR_EQ2, abs=1e-3)
+    for tol in (1e-6, 1e-300):  # a tol below the float spacing must still terminate
+        t_star = critical_temperature(
+            eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.1, 10.0), tol=tol
+        )
+        assert t_star == pytest.approx(HEIS2_T_STAR_EQ2, abs=1e-3)
 
 
 def test_threshold_entropy_form_pins_the_crossing():
@@ -136,6 +137,9 @@ def test_threshold_rejects_bad_inputs():
         critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, bracket=(2.0, 1.0))
     with pytest.raises(ValueError, match="positive"):  # an infinite top must not hang
         critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.5, math.inf))
+    for tol in (0.0, -1.0, math.nan):  # 0 and -1 would hang, nan would skip the bisection
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +187,9 @@ def test_sweep_grid_validation():
     for bad in ([-1.0, 1.0], [0.5, math.nan], [0.5, math.inf]):
         with pytest.raises(ValueError, match="positive"):
             sweep(eig_hermitian(heis(2)), bad)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_star_tol must be finite and positive"):
+            sweep(eig_hermitian(heis(2)), [1.0], t_star_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +202,7 @@ def test_smaller_bound_never_flips_silent_to_firing():
     for t in np.geomspace(0.2, 20.0, 12):
         full = evaluate_witness(spectral, float(t), est)
         for shrink in (0.5, 0.1):
-            weaker = ree_lower_bound(ground_state(spectral).state)
+            weaker = ree_lower_bound(ground_state(spectral))
             weaker = type(weaker)(
                 lower=est.lower * shrink, upper=None, method=weaker.method,
                 iterations=weaker.iterations, converged=True,
@@ -215,6 +222,28 @@ def test_firing_reports_are_npt():
         if rep.eq2_fires or rep.eq4_fires:
             ens = thermal_ensemble(dec, float(t))
             assert ppt_check(ens.rho_T, cut).npt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    fields=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+        .filter(lambda h: math.hypot(*h) >= 0.1),
+        min_size=2, max_size=5,
+    )
+)
+def test_product_ground_state_never_fires_for_any_fields(fields):
+    # H = sum_i h_i . sigma_i: a nondegenerate product ground state, E = 0
+    terms = tuple(((i,), label, c) for i, h in enumerate(fields) for label, c in zip("XYZ", h))
+    spec = SpinModelSpec(kind="custom_terms", n_sites=len(fields), custom_terms=terms)
+    spectral = eig_hermitian(build_spin_hamiltonian(spec))
+    assert spectral.ground_degeneracy == 1
+    assert ree_lower_bound(ground_state(spectral)).lower == 0.0
+    res = sweep(spectral, [float(t) for t in np.geomspace(1e-3, 1e3, 13)])
+    assert res.T_star_eq2 is None and res.T_star_eq4 is None
+    for rep in res.reports:
+        assert rep.E_lower == 0.0
+        assert not rep.eq2_fires and not rep.eq4_fires
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
