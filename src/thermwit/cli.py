@@ -5,8 +5,10 @@ JSON specs in, CSV or JSON out; floats are printed with 12 significant
 digits and all randomness flows from --seed through named child streams, so
 identical configurations produce byte-identical output.
 
-Exit codes: 0 ok, 1 selfcheck failure, 2 config error, 3 resource cap,
-4 numerical failure.
+Exit codes: 0 ok, 1 selfcheck failure; a failed run exits by its exception
+type alone (see ``main``): 2 for ``ValueError``, which means invalid input,
+3 for ``MemoryError``, 4 for ``RuntimeError``, ``ArithmeticError`` and
+``np.linalg.LinAlgError`` (numerical failures).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
 from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state, make_spectrum
-from .qops import DimensionCapError, eig_hermitian
+from .qops import eig_hermitian
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -108,8 +110,6 @@ def load_model(path: str) -> SpinModelSpec:
             boundary=raw.get("boundary", "open"),
             custom_terms=raw.get("custom_terms"),
         )
-    except DimensionCapError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model in {path}: {exc}") from exc
 
@@ -444,15 +444,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except DimensionCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # includes DimensionCapError
+        print(f"resource limit: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:  # includes ConfigError
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # invalid input, ConfigError included
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

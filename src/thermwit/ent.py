@@ -82,7 +82,7 @@ class EntanglementEstimate:
 
     def __post_init__(self) -> None:
         if self.upper is not None and self.lower > self.upper + 1e-6:
-            raise ValueError(
+            raise RuntimeError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper}"
             )
 
@@ -114,6 +114,10 @@ class FrankWolfeConfig:
 
     def __post_init__(self) -> None:
         _check_restarts(self.restarts)
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -211,24 +215,21 @@ def _random_factors(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.
     return out
 
 
-def _alternating_extreme(
+def _alternating_minimum(
     matrix: np.ndarray,
     dims: tuple[int, ...],
-    mode: str,
     rng: np.random.Generator,
     restarts: int,
     warm: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Best extremal <prod|A|prod> found by alternating site updates.
+    """Lowest <prod|A|prod> found by alternating site updates.
 
     Heuristic: each pass fixes all factors but one and replaces it with the
-    extremal eigenvector of the effective single-site operator, which can
-    only improve the objective; multistart mitigates local optima.
+    lowest eigenvector of the effective single-site operator, which can
+    only lower the objective; multistart mitigates local optima.
     """
     n = len(dims)
     tensor = matrix.reshape(dims * 2)
-    pick = (lambda w: w.size - 1) if mode == "maximize" else (lambda w: 0)
-    better = (lambda a, b: a > b) if mode == "maximize" else (lambda a, b: a < b)
     starts: list[list[np.ndarray]] = []
     if warm is not None:
         starts.append([np.array(f) for f in warm])
@@ -242,12 +243,11 @@ def _alternating_extreme(
             for k in range(n):
                 eff = _effective_site_operator(tensor, factors, k, n)
                 w, vecs = np.linalg.eigh(eff)
-                idx = pick(w)
-                factors[k] = vecs[:, idx]
-                val = float(w[idx])
+                factors[k] = vecs[:, 0]
+                val = float(w[0])
             if prev is not None and abs(val - prev) < _STATIONARITY_TOL:
                 break
-        if best_val is None or better(val, best_val):
+        if best_val is None or val < best_val:
             best_val = val
             best_factors = [f.copy() for f in factors]
     return best_val, best_factors
@@ -255,21 +255,19 @@ def _alternating_extreme(
 
 def closest_product_state(
     target: HermitianOperator,
-    mode: str,
     restarts: int = 32,
     seed: int = 42,
 ) -> tuple[ProductStateAnsatz, float]:
-    """Extremal expectation of ``target`` over product pure states.
+    """Minimal expectation of ``target`` over product pure states.
 
-    ``mode`` is ``"maximize"`` or ``"minimize"``. Deterministic for a fixed
-    seed; the returned value is the best over ``restarts`` (at least 1)
-    seeded random initializations of the alternating optimization.
+    Deterministic for a fixed seed; the returned value is the best over
+    ``restarts`` (at least 1) seeded random initializations of the
+    alternating optimization. Pass ``-A`` and negate the value for the
+    maximum of ``A``.
     """
-    if mode not in ("maximize", "minimize"):
-        raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
     _check_restarts(restarts)
     rng = np.random.default_rng(seed)
-    val, factors = _alternating_extreme(target.matrix, target.dims, mode, rng, restarts)
+    val, factors = _alternating_minimum(target.matrix, target.dims, rng, restarts)
     return ProductStateAnsatz(factors=tuple(factors)), val
 
 
@@ -284,7 +282,7 @@ def energy_witness(
     state carrying that energy is entangled. The boundary is not strict:
     equality does not certify.
     """
-    _, sep_min = closest_product_state(h, "minimize", restarts=restarts, seed=seed)
+    _, sep_min = closest_product_state(h, restarts=restarts, seed=seed)
     return EnergyWitnessResult(sep_min=sep_min, entangled=bool(energy < sep_min - 1e-9))
 
 
@@ -358,9 +356,8 @@ def ree_upper_bound(
     # t starts at 1: gamma_1 = 2/3 keeps positive weight on the full-rank start
     for t in range(1, cfg.max_iter + 1):
         iterations = t
-        _, factors = _alternating_extreme(
-            grad, rho.dims, "maximize", rng, cfg.restarts, warm=warm
-        )
+        # the product state maximizing tr(grad pi) minimizes tr(-grad pi)
+        _, factors = _alternating_minimum(-grad, rho.dims, rng, cfg.restarts, warm=warm)
         warm = factors
         atom = ProductStateAnsatz(factors=tuple(factors)).vector()
         pi = np.outer(atom, atom.conj())

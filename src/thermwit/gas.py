@@ -28,6 +28,9 @@ MU_SOLVE_TOL = 1e-10
 #: Arguments above this use the asymptotic tail of the bose occupation.
 _BOSE_TAIL = 40.0
 
+#: exp of a larger magnitude leaves the positive finite floats.
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True, eq=False)
 class GasState:
@@ -51,12 +54,6 @@ class ScalingFit:
     r_squared: float
     T_window: tuple[float, float]
     n_reference: float
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError(f"fitted exponent must be nonnegative, got {self.exponent}")
-        if self.omega_tilde <= 0:
-            raise ValueError(f"omega_tilde must be positive, got {self.omega_tilde}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,9 @@ def fit_power_law(
     """Least-squares line fit of ln S vs ln T, read as S = N (T/omega)^p.
 
     The slope is the exponent; ``omega_tilde`` is the temperature at which
-    the fitted S/N reaches 1, recovered from the intercept.
+    the fitted S/N reaches 1, recovered from the intercept. A fit whose
+    exponent is not positive, or whose ``omega_tilde`` is no positive finite
+    float, is rejected as a window of constant entropy.
     """
     ts = np.asarray(list(t_samples), dtype=np.float64)
     ss = np.asarray(list(s_samples), dtype=np.float64)
@@ -230,20 +229,20 @@ def fit_power_law(
     if np.any(ss <= 0):
         bad = ts[ss <= 0]
         raise ValueError(f"nonpositive entropy sample(s) at T={bad}; shrink the window")
-    if np.ptp(np.log(ss)) == 0:
+    log_t, log_s = np.log(ts), np.log(ss)
+    slope, intercept = (float(c) for c in np.polyfit(log_t, log_s, 1))
+    log_omega = (math.log(n_reference) - intercept) / slope if slope > 0 else math.inf
+    if np.ptp(log_s) == 0 or not abs(log_omega) < _LOG_FLOAT_MAX:
         raise ValueError(
-            f"entropy is constant over the fit window [{ts[0]:.6g}, {ts[-1]:.6g}]; "
-            "no power law to fit"
+            f"entropy is constant over the fit window [{ts[0]:.6g}, {ts[-1]:.6g}] "
+            f"(fitted exponent {slope:.3g}); no power law to fit"
         )
-    slope, intercept = np.polyfit(np.log(ts), np.log(ss), 1)
-    pred = slope * np.log(ts) + intercept
-    resid = np.log(ss) - pred
-    total = np.log(ss) - np.mean(np.log(ss))
+    resid = log_s - (slope * log_t + intercept)
+    total = log_s - np.mean(log_s)
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum(total**2))
-    omega_tilde = math.exp((math.log(n_reference) - intercept) / slope)
     return ScalingFit(
-        exponent=float(slope),
-        omega_tilde=omega_tilde,
+        exponent=slope,
+        omega_tilde=math.exp(log_omega),
         r_squared=r2,
         T_window=(float(ts[0]), float(ts[-1])),
         n_reference=float(n_reference),
@@ -273,8 +272,10 @@ def critical_temperature_estimate(fit: ScalingFit, energy_per_particle: float = 
     Setting S = N (T/omega_tilde)^p below c*N gives T < omega_tilde * c^(1/p);
     with the default c = 1 this is the fitted characteristic frequency itself.
     """
-    if energy_per_particle <= 0:
-        raise ValueError("energy_per_particle must be positive")
+    if not 0 < energy_per_particle < math.inf:
+        raise ValueError(
+            f"energy_per_particle must be finite and positive, got {energy_per_particle}"
+        )
     return fit.omega_tilde * energy_per_particle ** (1.0 / fit.exponent)
 
 

@@ -39,7 +39,7 @@ DEGENERACY_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 
 
-class DimensionCapError(ValueError):
+class DimensionCapError(MemoryError):
     """Requested Hilbert space exceeds the dense-storage dimension cap."""
 
 
@@ -220,8 +220,9 @@ def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
 
     The matrix is split into the connected components of its nonzero
     pattern, and each block is diagonalized on its own, with real LAPACK
-    when its imaginary part is exactly zero. Raises RuntimeError if the
-    solver fails to converge; partial results are never returned.
+    when its imaginary part is exactly zero. ``np.linalg.LinAlgError``
+    propagates if the solver fails to converge; partial results are never
+    returned.
     """
     mat = a.matrix
     rows_of = _connected_blocks(mat)
@@ -230,10 +231,7 @@ def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
         sub = mat if rows.size == a.dim else mat[np.ix_(rows, rows)]
         if not sub.imag.any():
             sub = sub.real
-        try:
-            vals, vecs = np.linalg.eigh(sub)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+        vals, vecs = np.linalg.eigh(sub)
         vals_of.append(vals)
         vecs_of.append(_fix_phases(vecs))
     vals = np.concatenate(vals_of)

@@ -1,18 +1,28 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from thermwit import cli
+from thermwit import DimensionCapError, cli
 from thermwit.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SELFCHECK,
+    ConfigError,
     main,
     parse_temps,
     run_selfcheck,
 )
+
+SRC = Path(cli.__file__).resolve().parents[1]
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 HEIS2 = {"kind": "heisenberg", "n_sites": 2}
 
@@ -128,14 +138,25 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
 
 
 def test_bad_tstar_tol_or_restarts_exits_2(tmp_path, capsys):
-    model = write_model(tmp_path, HEIS2)
+    model = ["--model", write_model(tmp_path, HEIS2)]
+    gas = ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
+           "--fit-window", "0.05:0.3"]
     for argv, message in (
-        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "0"], "t_star_tol must be"),
-        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "nan"], "t_star_tol must be"),
-        (["ree", "--restarts", "0"], "restarts must be at least 1"),
-        (["energy-witness", "--restarts", "0"], "restarts must be at least 1"),
+        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "0", *model], "t_star_tol must be"),
+        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "nan", *model], "t_star_tol must be"),
+        (["ree", "--restarts", "0", *model], "restarts must be at least 1"),
+        (["energy-witness", "--restarts", "0", *model], "restarts must be at least 1"),
+        (["ree", "--tol", "nan", *model], "tol must be finite and positive"),
+        (["ree", "--tol", "-1", *model], "tol must be finite and positive"),
+        (["ree", "--tol", "inf", *model], "tol must be finite and positive"),
+        (["ree", "--max-iter", "-3", *model], "max_iter must be nonnegative"),
+        (["spin-sweep", "--temps", "1:2:2", "--upper", "--tol", "0", *model],
+         "tol must be finite and positive"),
+        ([*gas, "--energy-per-particle=nan"], "energy_per_particle must be finite and positive"),
+        ([*gas, "--energy-per-particle=inf"], "energy_per_particle must be finite and positive"),
+        ([*gas, "--energy-per-particle=0"], "energy_per_particle must be finite and positive"),
     ):
-        assert main(argv + ["--model", model]) == EXIT_CONFIG
+        assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
@@ -153,6 +174,30 @@ def test_dimension_cap_exits_3(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc_type, code, prefix", [
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (ValueError, EXIT_CONFIG, "config error"),
+    (DimensionCapError, EXIT_RESOURCE, "resource limit"),
+    (MemoryError, EXIT_RESOURCE, "resource limit"),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL, "numerical failure"),
+    (RuntimeError, EXIT_NUMERICAL, "numerical failure"),
+    (FloatingPointError, EXIT_NUMERICAL, "numerical failure"),
+    (OverflowError, EXIT_NUMERICAL, "numerical failure"),
+])
+def test_exception_type_picks_exit_code(exc_type, code, prefix, tmp_path, monkeypatch, capsys):
+    # raised from the SVD of the entanglement lower bound, which the sweep
+    # runs below every layer between it and main
+    def fail(*args, **kwargs):
+        raise exc_type("injected")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    model = write_model(tmp_path, HEIS2)
+    assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}: injected\n"
+
+
 # ---------------------------------------------------------------------------
 # gas-scan
 # ---------------------------------------------------------------------------
@@ -161,12 +206,15 @@ BOSE_GEN = "gen:linear_dispersion:n_modes=200,velocity=0.01,statistics=bose,chem
 
 
 def test_gas_scan_constant_entropy_window_exits_2(capsys):
-    # half-filled degenerate fermi modes: S = 4 ln 2 at every temperature
-    spectrum = "gen:uniform:n_modes=4,omega=1.0,statistics=fermi,particle_target=2.0"
-    code = main(["gas-scan", "--spectrum", spectrum, "--temps", "0.05:0.5:10",
-                 "--fit-window", "0.05:0.5"])
-    assert code == EXIT_CONFIG
-    assert "constant over the fit window [0.05, 0.5]" in capsys.readouterr().err
+    # degenerate fermi modes: S does not depend on T. At half filling it is
+    # 4 ln 2 exactly; off it, round-off fits an exponent just below or above 0
+    # whose omega_tilde overflows or underflows
+    for target in ("2.0", "2.000001", "1.9"):
+        spectrum = f"gen:uniform:n_modes=4,omega=1.0,statistics=fermi,particle_target={target}"
+        code = main(["gas-scan", "--spectrum", spectrum, "--temps", "0.05:0.5:10",
+                     "--fit-window", "0.05:0.5"])
+        assert code == EXIT_CONFIG
+        assert "constant over the fit window [0.05, 0.5]" in capsys.readouterr().err
 
 
 def test_gas_scan_fit_block(tmp_path):
@@ -314,3 +362,45 @@ def test_gas_scan_outputs_byte_identical(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# environment independence (subprocesses)
+# ---------------------------------------------------------------------------
+
+def _run_python(code, tmp_path, **env):
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "heisenberg", "n_sites": 10, "J": 0.83, "boundary": "periodic"},
+    {"kind": "transverse_ising", "n_sites": 10, "J": 1.0, "h": 1.3, "boundary": "periodic"},
+])
+def test_csv_independent_of_blas_threads(model, tmp_path):
+    # CSV only: JSON prints full precision and moves by ~1e-13 with the threads
+    path = write_model(tmp_path, model)
+    code = ("import sys; from thermwit.cli import main; "
+            f"sys.exit(main(['spin-sweep', '--model', {path!r}, '--temps', '0.05:6:60']))")
+    outs = []
+    for threads in ("1", "2"):
+        done = _run_python(code, tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is not a dependency; an import of it anywhere fails the run
+    heis2 = str(GOLDEN_INPUTS / "heis2.json")
+    runs = [
+        ["spin-sweep", "--model", heis2, "--temps", "1:4:3", "--upper", "--max-iter", "3"],
+        ["energy-witness", "--model", heis2, "--restarts", "3"],
+        ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
+         "--fit-window", "0.05:0.3"],
+    ]
+    code = ("import sys; sys.modules['scipy'] = None; from thermwit.cli import main; "
+            f"sys.exit(max(main(argv) for argv in {runs!r}))")
+    done = _run_python(code, tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thermwit import (
     DensityOperator,
+    EntanglementEstimate,
     FrankWolfeConfig,
     HermitianOperator,
     PartitionCut,
@@ -177,6 +178,13 @@ def test_lower_never_exceeds_upper_on_random_states(n_sites, parts):
         assert lower <= upper.upper + 1e-9
 
 
+def test_lower_above_upper_is_a_numerical_failure():
+    # a broken soundness invariant is RuntimeError (exit 4), not bad input
+    with pytest.raises(RuntimeError, match="exceeds upper bound"):
+        EntanglementEstimate(lower=1.0, upper=0.5, method="frank_wolfe_upper",
+                             iterations=0, converged=True)
+
+
 def test_sandwich_on_named_states():
     for psi in (bell_pure(), ghz_pure(), w_pure()):
         lower = ree_lower_bound(psi).lower
@@ -216,7 +224,7 @@ def test_log_gradient_matches_finite_difference(rng):
 
 def test_closest_product_diagonal_case():
     zz = HermitianOperator(np.kron(SZ, SZ), (2, 2))
-    ansatz, value = closest_product_state(zz, "minimize", restarts=8)
+    ansatz, value = closest_product_state(zz, restarts=8)
     assert value == pytest.approx(-1.0, abs=1e-9)
     vec = ansatz.vector()
     assert np.vdot(vec, zz.matrix @ vec).real == pytest.approx(value, abs=1e-9)
@@ -224,7 +232,7 @@ def test_closest_product_diagonal_case():
 
 def test_closest_product_heisenberg_vs_grid():
     h = heis2()
-    _, value = closest_product_state(h, "minimize")
+    _, value = closest_product_state(h)
     grid = bloch_grid_extreme(h.matrix, "min")
     assert value == pytest.approx(-1.0, abs=1e-9)
     assert abs(value - grid) <= 1e-3
@@ -232,7 +240,8 @@ def test_closest_product_heisenberg_vs_grid():
 
 def test_closest_product_bell_overlap_vs_grid():
     proj = HermitianOperator(bell_pure().to_density().matrix, (2, 2))
-    _, value = closest_product_state(proj, "maximize")
+    _, neg_value = closest_product_state(HermitianOperator(-proj.matrix, proj.dims))
+    value = -neg_value
     grid = bloch_grid_extreme(proj.matrix, "max")
     assert value == pytest.approx(0.5, abs=1e-9)
     assert abs(value - grid) <= 1e-3
@@ -240,22 +249,17 @@ def test_closest_product_bell_overlap_vs_grid():
 
 def test_closest_product_deterministic():
     h = heis2()
-    a = closest_product_state(h, "minimize", restarts=6, seed=5)
-    b = closest_product_state(h, "minimize", restarts=6, seed=5)
+    a = closest_product_state(h, restarts=6, seed=5)
+    b = closest_product_state(h, restarts=6, seed=5)
     assert a[1] == b[1]
     assert all(np.array_equal(x, y) for x, y in zip(a[0].factors, b[0].factors))
-
-
-def test_closest_product_rejects_bad_mode():
-    with pytest.raises(ValueError, match="mode"):
-        closest_product_state(heis2(), "extremize")
 
 
 def test_restarts_below_one_rejected():
     # with no start the alternating optimizer has no factors to return
     for restarts in (0, -1):
         with pytest.raises(ValueError, match="restarts must be at least 1"):
-            closest_product_state(heis2(), "minimize", restarts=restarts)
+            closest_product_state(heis2(), restarts=restarts)
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             energy_witness(heis2(), energy=-3.0, restarts=restarts)
         with pytest.raises(ValueError, match="restarts must be at least 1"):
