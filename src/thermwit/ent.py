@@ -15,7 +15,6 @@ only makes the witness fire less).
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -30,9 +29,6 @@ from .qops import (
     partial_transpose,
     von_neumann_entropy,
 )
-
-#: einsum subscript letters, one per tensor axis.
-_AXIS_LETTERS = string.ascii_letters
 
 #: Eigenvalue-gap threshold below which the log divided difference switches
 #: to its limit form.
@@ -183,25 +179,6 @@ def ree_lower_bound(psi: PureState) -> EntanglementEstimate:
 # product-state optimization (linear oracle and energy witness)
 # ---------------------------------------------------------------------------
 
-def _effective_site_operator(
-    tensor: np.ndarray, factors: Sequence[np.ndarray], k: int, n: int
-) -> np.ndarray:
-    """Contract every site but ``k``: <prod_rest| A |prod_rest> as a matrix."""
-    bra = _AXIS_LETTERS[:n]
-    ket = _AXIS_LETTERS[n:2 * n]
-    operands = [tensor]
-    subs = [bra + ket]
-    for j in range(n):
-        if j == k:
-            continue
-        subs.append(bra[j])
-        operands.append(factors[j].conj())
-        subs.append(ket[j])
-        operands.append(factors[j])
-    expr = ",".join(subs) + "->" + bra[k] + ket[k]
-    return np.einsum(expr, *operands)
-
-
 def _check_restarts(restarts: int) -> None:
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -226,31 +203,47 @@ def _alternating_minimum(
 
     Heuristic: each pass fixes all factors but one and replaces it with the
     lowest eigenvector of the effective single-site operator, which can
-    only lower the objective; multistart mitigates local optima.
+    only lower the objective; multistart mitigates local optima. The starts
+    advance together as one stacked batch (one matmul and one batched eigh
+    per site), and each leaves the batch on its own stopping rule; extra
+    memory is O(starts * d * max d_k). Ties go to the first start.
     """
-    n = len(dims)
-    tensor = matrix.reshape(dims * 2)
-    starts: list[list[np.ndarray]] = []
-    if warm is not None:
-        starts.append([np.array(f) for f in warm])
+    starts = [] if warm is None else [list(warm)]
     starts.extend(_random_factors(dims, rng) for _ in range(restarts))
-    best_val: float | None = None
-    best_factors: list[np.ndarray] | None = None
-    for factors in starts:
-        val: float | None = None
-        for _ in range(_MAX_ROUNDS):
-            prev = val
-            for k in range(n):
-                eff = _effective_site_operator(tensor, factors, k, n)
-                w, vecs = np.linalg.eigh(eff)
-                factors[k] = vecs[:, 0]
-                val = float(w[0])
-            if prev is not None and abs(val - prev) < _STATIONARITY_TOL:
-                break
-        if best_val is None or val < best_val:
-            best_val = val
-            best_factors = [f.copy() for f in factors]
-    return best_val, best_factors
+    factors = [np.array([s[k] for s in starts], dtype=complex) for k in range(len(dims))]
+    vals = np.full(len(starts), np.inf)
+    active = np.arange(len(starts))
+    sub = list(factors)  # the active starts' rows
+    eyes = [np.eye(dk)[:, None, :, None] for dk in dims]
+    for _ in range(_MAX_ROUNDS):
+        s = active.size
+        # right[k]: rows kron(f_{k+1}, ..., f_{n-1}) of this pass's old factors
+        right = [np.ones((s, 1))]
+        for f in reversed(sub[1:]):
+            right.insert(0, (f[:, :, None] * right[0][:, None, :]).reshape(s, -1))
+        left = right[-1]
+        for k, dk in enumerate(dims):
+            # rows: each start's product vector with site k set to each basis state
+            lr = left[:, None, :, None, None] * right[k][:, None, None, None, :]
+            basis = (eyes[k] * lr).reshape(s, dk, -1)
+            bra = (basis.conj().reshape(s * dk, -1) @ matrix).reshape(s, dk, -1)
+            w, vecs = np.linalg.eigh(bra @ basis.transpose(0, 2, 1))
+            sub[k] = vecs[:, :, 0]
+            left = (left[:, :, None] * sub[k][:, None, :]).reshape(s, -1)
+        # vals start at inf, so no start stops after its first pass
+        moved = np.abs(w[:, 0] - vals[active]) >= _STATIONARITY_TOL
+        vals[active] = w[:, 0]
+        if not moved.all():
+            for f, g in zip(factors, sub):
+                f[active] = g
+            active = active[moved]
+            sub = [g[moved] for g in sub]
+        if not active.size:
+            break
+    for f, g in zip(factors, sub):
+        f[active] = g
+    best = int(np.argmin(vals))
+    return float(vals[best]), [f[best].copy() for f in factors]
 
 
 def closest_product_state(
@@ -274,13 +267,14 @@ def closest_product_state(
 def energy_witness(
     h: HermitianOperator, energy: float, restarts: int = 32, seed: int = 42
 ) -> EnergyWitnessResult:
-    """Certify entanglement of any state whose energy undercuts every
-    separable state's.
+    """Flag a state whose energy undercuts the lowest product-state energy found.
 
-    ``sep_min`` is the product-state minimum of <H>; by convexity it is also
-    the separable-mixed-state minimum, so ``energy < sep_min`` proves the
-    state carrying that energy is entangled. The boundary is not strict:
-    equality does not certify.
+    ``sep_min`` is the lowest <H> reached by ``restarts`` local searches over
+    product states. The true product minimum is, by convexity, also the
+    separable-mixed-state minimum, and an energy below it proves entanglement;
+    but a search can miss it, so ``sep_min`` may sit above it and
+    ``energy < sep_min`` is evidence, not proof. The boundary is not strict:
+    equality does not flag.
     """
     _, sep_min = closest_product_state(h, restarts=restarts, seed=seed)
     return EnergyWitnessResult(sep_min=sep_min, entangled=bool(energy < sep_min - 1e-9))

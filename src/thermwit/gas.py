@@ -271,12 +271,22 @@ def critical_temperature_estimate(fit: ScalingFit, energy_per_particle: float = 
 
     Setting S = N (T/omega_tilde)^p below c*N gives T < omega_tilde * c^(1/p);
     with the default c = 1 this is the fitted characteristic frequency itself.
+    A T* that is no positive finite float (a small exponent) is rejected.
     """
     if not 0 < energy_per_particle < math.inf:
         raise ValueError(
             f"energy_per_particle must be finite and positive, got {energy_per_particle}"
         )
-    return fit.omega_tilde * energy_per_particle ** (1.0 / fit.exponent)
+    log_scale = math.log(energy_per_particle) / fit.exponent
+    log_t = math.log(fit.omega_tilde) + log_scale
+    if not abs(log_t) < _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"T* = omega_tilde * c**(1/p) is out of float range for fitted exponent "
+            f"p = {fit.exponent:.3g} and energy per particle c = {energy_per_particle:.6g}"
+        )
+    if abs(log_scale) < _LOG_FLOAT_MAX:  # then the direct product is the more accurate form
+        return fit.omega_tilde * energy_per_particle ** (1.0 / fit.exponent)
+    return math.exp(log_t)
 
 
 def geometric_frequency_scale(spectrum: ModeSpectrum, n_particles: float) -> float:

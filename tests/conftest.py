@@ -1,5 +1,7 @@
 """Shared states, matrices, and independent oracles for the test suite."""
 
+import string
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,41 @@ def bloch_grid_extreme(op4x4: np.ndarray, mode: str, n_theta: int = 180, n_phi: 
     eff = np.einsum("acbd,nc,nd->nab", tensor, b.conj(), b)
     evals = np.linalg.eigvalsh(eff)
     return float(evals[:, 0].min()) if mode == "min" else float(evals[:, -1].max())
+
+
+def loop_alternating_minimum(matrix, dims, rng, restarts, warm=None):
+    """Reference product-state oracle: one start at a time, one einsum per
+    site update. It draws the same starts from ``rng`` as
+    ``thermwit.ent._alternating_minimum`` and shares its stopping rule."""
+    from thermwit.ent import _MAX_ROUNDS, _STATIONARITY_TOL
+
+    n = len(dims)
+    tensor = matrix.reshape(tuple(dims) * 2)
+    bra, ket = string.ascii_letters[:n], string.ascii_letters[n:2 * n]
+    starts = [] if warm is None else [[np.array(f) for f in warm]]
+    for _ in range(restarts):
+        draws = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+        starts.append([v / np.linalg.norm(v) for v in draws])
+    best_val, best_factors = None, None
+    for factors in starts:
+        val = None
+        for _ in range(_MAX_ROUNDS):
+            prev = val
+            for k in range(n):
+                subs, operands = [bra + ket], [tensor]
+                for j in range(n):
+                    if j != k:
+                        subs += [bra[j], ket[j]]
+                        operands += [factors[j].conj(), factors[j]]
+                eff = np.einsum(",".join(subs) + "->" + bra[k] + ket[k], *operands)
+                w, vecs = np.linalg.eigh(eff)
+                factors[k] = vecs[:, 0]
+                val = float(w[0])
+            if prev is not None and abs(val - prev) < _STATIONARITY_TOL:
+                break
+        if best_val is None or val < best_val:
+            best_val, best_factors = val, [f.copy() for f in factors]
+    return best_val, best_factors
 
 
 def shannon(probs) -> float:

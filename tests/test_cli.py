@@ -374,15 +374,23 @@ def _run_python(code, tmp_path, **env):
                           capture_output=True, text=True, timeout=300)
 
 
+SWEEP_ARGS = ["spin-sweep", "--temps", "0.05:6:60"]
+
+
 @pytest.mark.parametrize("model", [
-    {"kind": "heisenberg", "n_sites": 10, "J": 0.83, "boundary": "periodic"},
-    {"kind": "transverse_ising", "n_sites": 10, "J": 1.0, "h": 1.3, "boundary": "periodic"},
+    # (model, subcommand and its options)
+    ({"kind": "heisenberg", "n_sites": 10, "J": 0.83, "boundary": "periodic"}, SWEEP_ARGS),
+    ({"kind": "transverse_ising", "n_sites": 10, "J": 1.0, "h": 1.3, "boundary": "periodic"},
+     SWEEP_ARGS),
+    # the product-state oracle's matmul, in the energy witness and in Frank-Wolfe
+    ({"kind": "heisenberg", "n_sites": 8, "boundary": "periodic"}, ["energy-witness"]),
+    (HEIS2, ["ree", "--max-iter", "20"]),
 ])
 def test_csv_independent_of_blas_threads(model, tmp_path):
     # CSV only: JSON prints full precision and moves by ~1e-13 with the threads
-    path = write_model(tmp_path, model)
-    code = ("import sys; from thermwit.cli import main; "
-            f"sys.exit(main(['spin-sweep', '--model', {path!r}, '--temps', '0.05:6:60']))")
+    spec, args = model
+    argv = args + ["--model", write_model(tmp_path, spec)]
+    code = f"import sys; from thermwit.cli import main; sys.exit(main({argv!r}))"
     outs = []
     for threads in ("1", "2"):
         done = _run_python(code, tmp_path, OPENBLAS_NUM_THREADS=threads)

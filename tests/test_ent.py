@@ -22,7 +22,7 @@ from thermwit import (
     ree_upper_bound,
     thermal_ensemble,
 )
-from thermwit.ent import _objective_and_gradient
+from thermwit.ent import ProductStateAnsatz, _alternating_minimum, _objective_and_gradient
 from conftest import (
     LN2,
     SX,
@@ -31,6 +31,7 @@ from conftest import (
     bell_pure,
     bloch_grid_extreme,
     ghz_pure,
+    loop_alternating_minimum,
     random_pure,
     w_pure,
 )
@@ -253,6 +254,32 @@ def test_closest_product_deterministic():
     b = closest_product_state(h, restarts=6, seed=5)
     assert a[1] == b[1]
     assert all(np.array_equal(x, y) for x, y in zip(a[0].factors, b[0].factors))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 2, 2), (3, 2), (2, 2, 2, 2)]),
+    restarts=st.integers(1, 8),
+    with_warm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_oracle_matches_per_start_reference(dims, restarts, with_warm, seed):
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    matrix = a + a.conj().T
+    warm = None
+    if with_warm:
+        warm = [v / np.linalg.norm(v) for v in (rng.normal(size=k) + 1j * rng.normal(size=k)
+                                                for k in dims)]
+    # the same seed gives both oracles the same starts
+    value, factors = _alternating_minimum(matrix, dims, np.random.default_rng(seed),
+                                          restarts, warm=warm)
+    ref_value, _ = loop_alternating_minimum(matrix, dims, np.random.default_rng(seed),
+                                            restarts, warm=warm)
+    assert abs(value - ref_value) <= 1e-9
+    prod = ProductStateAnsatz(factors=tuple(factors)).vector()
+    assert abs(np.vdot(prod, matrix @ prod).real - value) <= 1e-10
 
 
 def test_restarts_below_one_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_estimate_scales_with_energy_constant():
     fit = fit_power_law(ts, 4.0 * (ts / 2.0) ** 2, 4.0)
     assert critical_temperature_estimate(fit, energy_per_particle=4.0) == pytest.approx(
         2.0 * 2.0, abs=1e-9
+    )
+    # a small exponent sends T* = omega_tilde * c**(1/p) out of the floats
+    flat = fit_power_law(ts, 4.0 * (ts / 2.0) ** 0.002, 4.0)
+    for c in (10.0, 0.1):
+        with pytest.raises(ValueError, match=r"exponent p = 0.002 and energy per particle c = "):
+            critical_temperature_estimate(flat, energy_per_particle=c)
+    # c**(1/p) alone overflows, T* itself does not
+    tiny = dataclasses.replace(flat, omega_tilde=1e-300)
+    assert math.log(critical_temperature_estimate(tiny, energy_per_particle=10.0)) == (
+        pytest.approx(math.log(1e-300) + math.log(10.0) / flat.exponent, rel=1e-12)
     )
 
 
