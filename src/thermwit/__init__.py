@@ -29,6 +29,7 @@ from .models import (
     build_spin_hamiltonian,
     ground_state,
     make_spectrum,
+    spin_spectrum,
 )
 from .thermo import (
     Eq3Check,

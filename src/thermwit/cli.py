@@ -24,8 +24,8 @@ import numpy as np
 
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
-from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state, make_spectrum
-from .qops import eig_hermitian
+from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state
+from .models import make_spectrum, spin_spectrum
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -101,10 +101,18 @@ def load_model(path: str) -> SpinModelSpec:
         raise ConfigError(f"unknown model keys {sorted(extra)} in {path}")
     if "kind" not in raw or "n_sites" not in raw:
         raise ConfigError(f"model file {path} needs 'kind' and 'n_sites'")
+    if type(raw["n_sites"]) is not int:  # a float would be truncated; a bool is not a count
+        raise ConfigError(f"invalid model in {path}: n_sites {raw['n_sites']!r} is not an integer")
+    for names, allowed in ((("coupling", "J"), 0 if raw["kind"] == "custom_terms" else 1),
+                           (("field", "h"), 1 if raw["kind"] == "transverse_ising" else 0)):
+        given = [name for name in names if name in raw]
+        if len(given) > allowed:
+            raise ConfigError(f"invalid model in {path}: kind {raw['kind']!r} takes at most "
+                              f"{allowed} of {names}, got {given}")
     try:
         return SpinModelSpec(
             kind=raw["kind"],
-            n_sites=int(raw["n_sites"]),
+            n_sites=raw["n_sites"],
             coupling=float(raw.get("coupling", raw.get("J", 1.0))),
             field=float(raw.get("field", raw.get("h", 0.0))),
             boundary=raw.get("boundary", "open"),
@@ -183,10 +191,10 @@ def _fw_config(args: argparse.Namespace, stream: str, **kwargs) -> FrankWolfeCon
 
 
 def run_spin_sweep(args: argparse.Namespace) -> Payload:
-    h = build_spin_hamiltonian(load_model(args.model))
+    spec = load_model(args.model)
     grid = parse_temps(args.temps)
     fw = _fw_config(args, "spin-sweep-fw") if args.upper else None
-    result = witness.sweep(eig_hermitian(h), grid, fw_config=fw, t_star_tol=args.tstar_tol)
+    result = witness.sweep(spin_spectrum(spec), grid, fw_config=fw, t_star_tol=args.tstar_tol)
     body = {
         "command": "spin-sweep",
         "seed": args.seed,
@@ -266,7 +274,7 @@ def _record(args: argparse.Namespace, **fields) -> Payload:
 
 
 def run_ree(args: argparse.Namespace) -> Payload:
-    spectral = eig_hermitian(build_spin_hamiltonian(load_model(args.model)))
+    spectral = spin_spectrum(load_model(args.model))
     psi = ground_state(spectral)
     lower = ree_lower_bound(psi)
     upper = ree_upper_bound(psi.to_density(), _fw_config(args, "ree-fw", restarts=args.restarts))
@@ -283,10 +291,10 @@ def run_ree(args: argparse.Namespace) -> Payload:
 
 
 def run_energy_witness(args: argparse.Namespace) -> Payload:
-    h = build_spin_hamiltonian(load_model(args.model))
-    e0 = float(eig_hermitian(h).eigenvalues[0])
+    spec = load_model(args.model)
+    e0 = float(spin_spectrum(spec).eigenvalues[0])
     seed = child_seed(args.seed, "energy-witness")
-    res = energy_witness(h, e0, restarts=args.restarts, seed=seed)
+    res = energy_witness(build_spin_hamiltonian(spec), e0, restarts=args.restarts, seed=seed)
     return _record(args, E0=e0, sep_min=res.sep_min, entangled=res.entangled)
 
 
@@ -358,8 +366,8 @@ def _selfcheck_properties(seed: int):
     fired = 0
     points = 0
     for n_sites in (2, 3):
-        h = build_spin_hamiltonian(SpinModelSpec(kind="heisenberg", n_sites=n_sites))
-        result = witness.sweep(eig_hermitian(h), [float(t) for t in np.geomspace(0.1, 20.0, 15)])
+        spectral = spin_spectrum(SpinModelSpec(kind="heisenberg", n_sites=n_sites))
+        result = witness.sweep(spectral, [float(t) for t in np.geomspace(0.1, 20.0, 15)])
         fired += sum(r.eq2_fires for r in result.reports)
         points += len(result.reports)
     yield (

@@ -14,7 +14,7 @@ wrap-around bond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .qops import (
     PureState,
     SpectralDecomposition,
     _fix_phases,
+    eig_hermitian,
 )
 from .seeding import named_rng
 
@@ -180,6 +181,26 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
         h[states ^ flip, states] += amp
     h.setflags(write=False)  # the operator then keeps this array instead of a copy
     return HermitianOperator(h, (2,) * n)
+
+
+#: u = (X+Y)/sqrt(2): u^dag sigma u is sigma with X and Y swapped, negated for Z.
+_XY_FRAME = np.array([[0, 1 - 1j], [1 + 1j, 0]]) / math.sqrt(2)
+
+
+def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:
+    """Diagonalize with X and Y relabelled when that makes the matrix real:
+    some nonzero term has an odd number of Y and none an odd number of X.
+    The relabelling keeps Z diagonal, so it keeps every block; ``columns``
+    rotates the eigenvectors back."""
+    terms = [term for term in pauli_terms(spec) if term[2] != 0]
+    odd = {axis for _, labels, _ in terms for axis in "XY" if labels.count(axis) % 2}
+    if odd != {"Y"}:
+        return eig_hermitian(build_spin_hamiltonian(spec))
+    swap = str.maketrans("XY", "YX")
+    relabelled = tuple((sites, labels.translate(swap), coeff * (-1) ** labels.count("Z"))
+                       for sites, labels, coeff in terms)
+    framed = SpinModelSpec("custom_terms", spec.n_sites, custom_terms=relabelled)
+    return replace(eig_hermitian(build_spin_hamiltonian(framed)), frame=_XY_FRAME)
 
 
 def ground_state(spectral: SpectralDecomposition) -> PureState:

@@ -151,12 +151,14 @@ class SpectralDecomposition:
     connected component of its nonzero pattern), stored as (those indices,
     the positions of its eigenvalues in ``eigenvalues``, its eigenvector
     columns). The dense eigenvector matrix is assembled only when
-    ``eigenvectors`` is read; ``columns`` gives the lowest few columns.
+    ``eigenvectors`` is read; ``columns`` gives the lowest few columns, with
+    the block vectors rotated by a ``frame`` u (2x2 unitary) on every site.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     dims: tuple[int, ...]
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
@@ -165,6 +167,12 @@ class SpectralDecomposition:
             for arr in block:
                 arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+        if self.frame is not None:
+            u = _as_locked_complex(self.frame)
+            if (u.shape != (2, 2) or set(self.dims) != {2}
+                    or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12):
+                raise ValueError(f"frame must be a 2x2 unitary on qubit sites, got {self.frame}")
+            object.__setattr__(self, "frame", u)
 
     @cached_property
     def ground_degeneracy(self) -> int:
@@ -178,6 +186,8 @@ class SpectralDecomposition:
         for rows, positions, vecs in self.blocks:
             keep = positions < count
             out[np.ix_(rows, positions[keep])] = vecs[:, keep]
+        for site in range(len(self.dims)) if self.frame is not None else ():
+            out = (self.frame @ out.reshape(2 ** site, 2, -1)).reshape(out.shape)
         return out
 
     @cached_property

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermwit import DimensionCapError, cli
+from thermwit import DimensionCapError, SpinModelSpec, cli, spin_spectrum
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -121,6 +121,15 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
         {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[0, "X", 1.0]]},  # sites
         {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[[0], "X"]]},  # no coeff
         {"kind": "heisenberg", "n_sites": 3, "J": math.nan},
+        # values the model would truncate or ignore
+        {"kind": "heisenberg", "n_sites": 2.9},
+        {"kind": "heisenberg", "n_sites": True},
+        {"kind": "heisenberg", "n_sites": "3"},
+        {"kind": "heisenberg", "n_sites": 2, "h": 0.7},
+        {"kind": "xy", "n_sites": 2, "field": 0.7},
+        {"kind": "custom_terms", "n_sites": 2, "J": 5, "custom_terms": [[[0], "X", 1.0]]},
+        {"kind": "heisenberg", "n_sites": 2, "J": 1.0, "coupling": 1.0},
+        {"kind": "transverse_ising", "n_sites": 2, "h": 1.0, "field": 1.0},
     ):
         model = write_model(tmp_path, payload)
         assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -397,6 +406,36 @@ def test_csv_independent_of_blas_threads(model, tmp_path):
         assert done.returncode == EXIT_OK, done.stderr
         outs.append(done.stdout)
     assert outs[0] == outs[1]
+
+
+#: A 10-site model that is real only with X relabelled as Y (like sweep_ed's).
+REAL_FRAME_MODEL = {
+    "kind": "custom_terms", "n_sites": 10,
+    "custom_terms": [[[i, i + 1], p + p, 0.6 + 0.1 * i] for i in range(9) for p in "XYZ"]
+    + [[[i], "Y", 0.4] for i in range(10)] + [[[i], "Z", 0.1 * i - 0.45] for i in range(10)],
+}
+
+
+def test_real_frame_sweep_independent_of_blas_threads(tmp_path):
+    # no byte check: the eigenvalues move by ~1e-14 with the thread count on
+    # the real path as on the complex one, so a 12th CSV digit can flip
+    assert spin_spectrum(SpinModelSpec(**REAL_FRAME_MODEL)).frame is not None
+    argv = SWEEP_ARGS + ["--format", "json", "--model", write_model(tmp_path, REAL_FRAME_MODEL)]
+    code = f"import sys; from thermwit.cli import main; sys.exit(main({argv!r}))"
+    runs = []
+    for threads in ("1", "2"):
+        done = _run_python(code, tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == EXIT_OK, done.stderr
+        runs.append(json.loads(done.stdout))
+    one, two = runs
+    assert any(r["eq2_fires"] for r in one["reports"])
+    for a, b in zip(one["reports"], two["reports"], strict=True):
+        for key in ("S", "p", "neg_ln_p", "E_lower"):
+            assert a[key] == pytest.approx(b[key], rel=1e-10, abs=0)
+        assert (a["eq2_fires"], a["eq4_fires"]) == (b["eq2_fires"], b["eq4_fires"])
+    for key in ("T_star_eq2", "T_star_eq4"):
+        assert (one[key] is None) == (two[key] is None)
+        assert one[key] is None or abs(one[key] - two[key]) <= 1e-6  # the default --tstar-tol
 
 
 def test_runs_without_scipy(tmp_path):

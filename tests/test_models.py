@@ -12,10 +12,12 @@ from thermwit import (
     eig_hermitian,
     ground_state,
     make_spectrum,
+    ree_lower_bound,
+    spin_spectrum,
 )
-from thermwit.models import SPIN_KINDS, chain_bonds
+from thermwit.models import _XY_FRAME, SPIN_KINDS, chain_bonds
 from thermwit.qops import DEGENERACY_TOL
-from conftest import SX, SZ, kron_hamiltonian, pauli_string
+from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string
 
 
 def heis(n, J=1.0, boundary="open"):
@@ -97,6 +99,11 @@ def test_periodic_spectrum_translation_invariant():
 
 
 def _random_spec(rng, kind, n, boundary):
+    if kind == "frame_switching":  # complex only through its Y fields; real with X as Y
+        terms = [(b, p + p, float(rng.uniform(0.5, 1.5)))
+                 for b in chain_bonds(n, boundary) for p in "XYZ"]
+        terms += [((i,), p, float(rng.uniform(-0.6, 0.6))) for p in "YZ" for i in range(n)]
+        return SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
     if kind != "custom_terms":
         # |field| >= |coupling| keeps the transverse-Ising gap open; in the
         # ordered phase it closes exponentially in n, and a ground vector is
@@ -113,10 +120,11 @@ def _random_spec(rng, kind, n, boundary):
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
-@pytest.mark.parametrize("kind", SPIN_KINDS)
+@pytest.mark.parametrize("kind", SPIN_KINDS + ("frame_switching",))
 def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
     """Bit-operation assembly equals the Kronecker sum exactly; the block
-    eigendecomposition matches the dense one in energies and ground level."""
+    eigendecomposition, and ``spin_spectrum`` in whatever Pauli frame it
+    picks, match the dense one in energies and ground level."""
     for n in (2, 4, 7, 10 if boundary == "periodic" else 9):
         spec = _random_spec(rng, kind, n, boundary)
         h = build_spin_hamiltonian(spec)
@@ -128,6 +136,39 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
         dense = vecs[:, :g] @ vecs[:, :g].conj().T
         block = dec.columns(g) @ dec.columns(g).conj().T
         assert np.max(np.abs(block - dense)) <= 1e-10
+        framed = spin_spectrum(spec)
+        assert np.max(np.abs(framed.eigenvalues - vals)) <= 1e-10
+        ground = framed.columns(g) @ framed.columns(g).conj().T
+        assert np.max(np.abs(ground - dense)) <= 1e-10
+        if kind in ("heisenberg", "xy", "transverse_ising"):
+            assert framed.frame is None
+        if kind == "frame_switching":
+            assert all(vecs.dtype == np.float64 for _, _, vecs in framed.blocks)
+
+
+def test_pauli_frame_signs_follow_from_its_unitary():
+    pauli = {"X": SX, "Y": SY, "Z": SZ}
+    swapped = {"X": SY, "Y": SX, "Z": -SZ}
+    u = _XY_FRAME
+    for label, sigma in pauli.items():
+        assert np.allclose(u.conj().T @ sigma @ u, swapped[label], rtol=0, atol=1e-15)
+
+
+def test_pauli_frame_keeps_the_blocks_of_the_computational_one():
+    n = 6
+    bonds = chain_bonds(n, "open")
+    # a DM model XY - YX + ZZ is complex in either frame and keeps its Sz sectors
+    terms = [(b, p, c) for b in bonds for p, c in (("XY", 1.0), ("YX", -1.0), ("ZZ", 0.5))]
+    dec = spin_spectrum(SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms)))
+    assert dec.frame is None and len(dec.blocks) == n + 1
+    # YYY on each triple, with ZZ bonds, is real with X as Y; Z stays
+    # diagonal, so the four cosets of the flip masks' span stay four blocks
+    terms = [((i, i + 1, i + 2), "YYY", 0.7) for i in range(n - 2)]
+    terms += [(b, "ZZ", 1.0) for b in bonds]
+    spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
+    dec = spin_spectrum(spec)
+    assert dec.frame is not None
+    assert len(dec.blocks) == len(eig_hermitian(build_spin_hamiltonian(spec)).blocks) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +205,19 @@ def test_canonical_ground_vector_is_basis_independent(rng):
     # it lies in the ground level
     energy = np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes).real
     assert energy == pytest.approx(dec.eigenvalues[0], abs=1e-10)
+
+
+def test_canonical_ground_vector_is_frame_independent():
+    # Y0 anticommutes with Z0 Z1 and site 2 is free: a fourfold ground level,
+    # solved with X relabelled as Y, where the matrix is real
+    spec = SpinModelSpec(kind="custom_terms", n_sites=3,
+                         custom_terms=(((0,), "Y", 0.6), ((0, 1), "ZZ", 1.0)))
+    framed = spin_spectrum(spec)
+    assert framed.frame is not None and framed.ground_degeneracy == 4
+    psi = ground_state(framed)
+    reference = ground_state(eig_hermitian(build_spin_hamiltonian(spec)))
+    assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) <= 1e-10
+    assert abs(ree_lower_bound(psi).lower - ree_lower_bound(reference).lower) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from thermwit import (
     DimensionCapError,
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
     eig_hermitian,
     partial_trace,
     partial_transpose,
@@ -195,6 +196,21 @@ def test_eig_deterministic_output():
     a = eig_hermitian(op(mat, (2, 2)))
     b = eig_hermitian(op(mat, (2, 2)))
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_spectral_frame_rotates_columns_back(rng):
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = a + a.conj().T
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    big = np.kron(np.kron(u, u), u)
+    rotated = eig_hermitian(op(big.conj().T @ h @ big, (2, 2, 2)))
+    dec = SpectralDecomposition(rotated.eigenvalues, rotated.blocks, (2, 2, 2), frame=u)
+    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+    assert np.max(np.abs(rebuilt - h)) <= 1e-12
+    assert np.max(np.abs(dec.columns(3) - dec.eigenvectors[:, :3])) <= 1e-15
+    for frame, dims in ((2 * u, (2, 2, 2)), (u[:1], (2, 2, 2)), (u, (8,))):
+        with pytest.raises(ValueError, match="frame"):
+            SpectralDecomposition(rotated.eigenvalues, rotated.blocks, dims, frame=frame)
 
 
 # ---------------------------------------------------------------------------
