@@ -14,6 +14,7 @@ type alone (see ``main``): 2 for ``ValueError``, which means invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,8 +25,9 @@ import numpy as np
 
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
-from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian, ground_state
-from .models import make_spectrum, spin_spectrum
+from .models import ModeSpectrum, SpinModelSpec, _xy_framed, build_spin_hamiltonian
+from .models import ground_state, make_spectrum, spin_spectrum
+from .qops import eig_hermitian
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -103,7 +105,9 @@ def load_model(path: str) -> SpinModelSpec:
         raise ConfigError(f"model file {path} needs 'kind' and 'n_sites'")
     if type(raw["n_sites"]) is not int:  # a float would be truncated; a bool is not a count
         raise ConfigError(f"invalid model in {path}: n_sites {raw['n_sites']!r} is not an integer")
-    for names, allowed in ((("coupling", "J"), 0 if raw["kind"] == "custom_terms" else 1),
+    custom = raw["kind"] == "custom_terms"  # its terms carry their own couplings and sites
+    for names, allowed in ((("coupling", "J"), 0 if custom else 1),
+                           (("boundary",), 0 if custom else 1),
                            (("field", "h"), 1 if raw["kind"] == "transverse_ising" else 0)):
         given = [name for name in names if name in raw]
         if len(given) > allowed:
@@ -292,9 +296,15 @@ def run_ree(args: argparse.Namespace) -> Payload:
 
 def run_energy_witness(args: argparse.Namespace) -> Payload:
     spec = load_model(args.model)
-    e0 = float(spin_spectrum(spec).eigenvalues[0])
+    if _xy_framed(spec):  # E0 from the real-frame matrix; the oracle reads the plain one
+        spectral = spin_spectrum(spec)
+        h = build_spin_hamiltonian(spec)
+    else:
+        h = build_spin_hamiltonian(spec)
+        spectral = eig_hermitian(h)
+    e0 = float(spectral.eigenvalues[0])
     seed = child_seed(args.seed, "energy-witness")
-    res = energy_witness(build_spin_hamiltonian(spec), e0, restarts=args.restarts, seed=seed)
+    res = energy_witness(h, e0, restarts=args.restarts, seed=seed)
     return _record(args, E0=e0, sep_min=res.sep_min, entangled=res.entangled)
 
 
@@ -395,7 +405,9 @@ def run_selfcheck(seed: int = 42) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="thermwit",
         description="Entropy-based entanglement certification for thermal states "

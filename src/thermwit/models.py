@@ -187,19 +187,27 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
 _XY_FRAME = np.array([[0, 1 - 1j], [1 + 1j, 0]]) / math.sqrt(2)
 
 
-def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:
-    """Diagonalize with X and Y relabelled when that makes the matrix real:
+def _xy_framed(spec: SpinModelSpec) -> SpinModelSpec | None:
+    """The model with X and Y relabelled when that makes the matrix real:
     some nonzero term has an odd number of Y and none an odd number of X.
-    The relabelling keeps Z diagonal, so it keeps every block; ``columns``
-    rotates the eigenvectors back."""
+    None when the relabelling does not apply."""
     terms = [term for term in pauli_terms(spec) if term[2] != 0]
     odd = {axis for _, labels, _ in terms for axis in "XY" if labels.count(axis) % 2}
     if odd != {"Y"}:
-        return eig_hermitian(build_spin_hamiltonian(spec))
+        return None
     swap = str.maketrans("XY", "YX")
     relabelled = tuple((sites, labels.translate(swap), coeff * (-1) ** labels.count("Z"))
                        for sites, labels, coeff in terms)
-    framed = SpinModelSpec("custom_terms", spec.n_sites, custom_terms=relabelled)
+    return SpinModelSpec("custom_terms", spec.n_sites, custom_terms=relabelled)
+
+
+def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:
+    """Diagonalize with X and Y relabelled when that makes the matrix real
+    (see ``_xy_framed``). The relabelling keeps Z diagonal, so it keeps
+    every block; ``columns`` rotates the eigenvectors back."""
+    framed = _xy_framed(spec)
+    if framed is None:
+        return eig_hermitian(build_spin_hamiltonian(spec))
     return replace(eig_hermitian(build_spin_hamiltonian(framed)), frame=_XY_FRAME)
 
 

@@ -28,28 +28,80 @@ class CanonicalScalars:
     p: float  # Boltzmann weight of a single ground state, exp(-beta E0)/Z
 
 
+#: Byte size of one (temperatures, levels) temporary. A longer grid is
+#: evaluated in row blocks of this size, so memory does not grow with it.
+_BLOCK_BYTES = 1 << 20
+
+
+def _checked_temperatures(temperatures) -> np.ndarray:
+    temps = np.asarray(temperatures, dtype=np.float64).reshape(-1)
+    bad = temps[~((temps > 0) & (temps < math.inf))]
+    if bad.size:
+        raise ValueError(f"temperature must be finite and positive, got {bad[0]}")
+    return temps
+
+
+def _boltzmann(levels: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Normalized Boltzmann weights, one row per temperature, with the
+    shifted weight sums and the entropies; ``levels`` ascend from 0.
+
+    A row whose smallest weights underflowed to 0 sums its entropy over the
+    positive weights alone, as a 1-D array, so every row gets the same bits
+    as a grid of that one temperature.
+    """
+    w = np.exp(-(1.0 / temps)[:, None] * levels)  # w[:, 0] == 1 exactly
+    sw = np.sum(w, axis=1)
+    probs = w / sw[:, None]
+    positive = probs > 0
+    full = positive.all(axis=1)
+    x = probs if full.all() else probs[full]
+    s = np.empty(temps.size)
+    s[full] = -np.sum(x * np.log(x), axis=1)
+    for i in np.flatnonzero(~full):
+        nz = probs[i][positive[i]]
+        s[i] = -np.sum(nz * np.log(nz))
+    return probs, sw, s
+
+
+def shifted_levels(energies: np.ndarray) -> np.ndarray:
+    """The energies in ascending order relative to the lowest, which is 0."""
+    e = np.sort(np.asarray(energies, dtype=np.float64))
+    return e - e[0]
+
+
+def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy S and single-ground-state weight p at every temperature.
+
+    ``levels`` comes from ``shifted_levels``, so a sweep sorts its spectrum
+    once. Each value has the same bits as ``canonical_scalars`` at that
+    temperature; a temperature that is not finite and positive is rejected.
+    """
+    temps = _checked_temperatures(temperatures)
+    s, sw = np.empty(temps.size), np.empty(temps.size)
+    rows = max(1, _BLOCK_BYTES // (8 * levels.size))
+    for lo in range(0, temps.size, rows):
+        _, sw[lo:lo + rows], s[lo:lo + rows] = _boltzmann(levels, temps[lo:lo + rows])
+    return s, 1.0 / sw
+
+
 def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScalars:
     """Evaluate log Z, F, U, S and the single-ground-state weight p.
 
     ``p`` is the weight of one ground state: for a g-fold degenerate ground
     level the total ground population is g*p. Every spin-side thermal
-    quantity passes through here, so this is where a temperature that is not
-    finite and positive is rejected.
+    quantity passes through ``_boltzmann``, which ``entropy_and_weight``
+    runs over a whole grid; a temperature that is not finite and positive is
+    rejected.
     """
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and positive, got {temperature}")
+    temps = _checked_temperatures(temperature)
     e = np.sort(np.asarray(energies, dtype=np.float64))
-    beta = 1.0 / temperature
-    w = np.exp(-beta * (e - e[0]))  # w[0] == 1 exactly
-    sw = float(np.sum(w))
-    probs = w / sw
+    probs, sw, s = _boltzmann(e - e[0], temps)
+    sw = float(sw[0])
     log_sw = math.log(sw)
-    log_z = -beta * e[0] + log_sw
+    log_z = -(1.0 / temperature) * e[0] + log_sw
     f = e[0] - temperature * log_sw
-    u = float(probs @ e)
-    nz = probs[probs > 0]
-    s = float(-np.sum(nz * np.log(nz)))
-    return CanonicalScalars(log_Z=log_z, F=f, U=u, S=s, p=1.0 / sw)
+    u = float(probs[0] @ e)
+    return CanonicalScalars(log_Z=log_z, F=f, U=u, S=float(s[0]), p=1.0 / sw)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
 from .models import ground_state
 from .qops import SpectralDecomposition
-from .thermo import canonical_scalars
+from .thermo import entropy_and_weight, shifted_levels
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -76,6 +76,29 @@ class SweepResult:
             )
 
 
+def _reports(
+    spectral: SpectralDecomposition, temperatures: Sequence[float], e_value: EntanglementEstimate
+) -> tuple[WitnessReport, ...]:
+    """The report at each temperature, from one pass over the whole grid."""
+    s, p = entropy_and_weight(shifted_levels(spectral.eigenvalues), temperatures)
+    threshold = e_value.lower - GUARD
+    reports = []
+    for t, s_t, p_t in zip(temperatures, s.tolist(), p.tolist()):
+        neg_ln_p = -math.log(p_t)  # libm log: np.log differs from it in some last bits
+        reports.append(WitnessReport(
+            T=float(t),
+            S=s_t,
+            p=p_t,
+            neg_ln_p=neg_ln_p,
+            E_lower=float(e_value.lower),
+            E_upper=e_value.upper,
+            eq2_fires=bool(neg_ln_p < threshold),
+            eq4_fires=bool(s_t < threshold),
+            ground_degeneracy=spectral.ground_degeneracy,
+        ))
+    return tuple(reports)
+
+
 def evaluate_witness(
     spectral: SpectralDecomposition, temperature: float, e_value: EntanglementEstimate
 ) -> WitnessReport:
@@ -86,19 +109,7 @@ def evaluate_witness(
     Hamiltonian (use ``ree_lower_bound`` on it); any smaller value keeps the
     verdicts sound.
     """
-    sc = canonical_scalars(spectral.eigenvalues, temperature)
-    neg_ln_p = -math.log(sc.p)
-    return WitnessReport(
-        T=float(temperature),
-        S=sc.S,
-        p=sc.p,
-        neg_ln_p=neg_ln_p,
-        E_lower=float(e_value.lower),
-        E_upper=e_value.upper,
-        eq2_fires=bool(neg_ln_p < e_value.lower - GUARD),
-        eq4_fires=bool(sc.S < e_value.lower - GUARD),
-        ground_degeneracy=spectral.ground_degeneracy,
-    )
+    return _reports(spectral, [temperature], e_value)[0]
 
 
 def critical_temperature(
@@ -127,9 +138,11 @@ def critical_temperature(
     if e_lower <= 0:
         return None
 
+    levels = shifted_levels(spectral.eigenvalues)
+
     def quantity(temperature: float) -> float:
-        sc = canonical_scalars(spectral.eigenvalues, temperature)
-        return sc.S if kind == "eq4" else -math.log(sc.p)
+        s, p = entropy_and_weight(levels, [temperature])
+        return float(s[0]) if kind == "eq4" else -math.log(p[0])
 
     if quantity(t_lo) >= e_lower:
         return None  # never fires at or above t_lo (quantity is nondecreasing)
@@ -175,7 +188,7 @@ def sweep(
     est = ree_lower_bound(psi)
     if fw_config is not None:
         est = replace(est, upper=ree_upper_bound(psi.to_density(), fw_config).upper)
-    reports = tuple(evaluate_witness(spectral, t, est) for t in grid)
+    reports = _reports(spectral, grid, est)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
     t_star_eq2, t_star_eq4 = (
         critical_temperature(spectral, kind, est.lower, bracket, t_star_tol)

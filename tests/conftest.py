@@ -1,5 +1,6 @@
 """Shared states, matrices, and independent oracles for the test suite."""
 
+import math
 import string
 
 import numpy as np
@@ -166,6 +167,70 @@ def loop_alternating_minimum(matrix, dims, rng, restarts, warm=None):
         if best_val is None or val < best_val:
             best_val, best_factors = val, [f.copy() for f in factors]
     return best_val, best_factors
+
+
+def point_canonical(energies, temperature: float) -> dict:
+    """Reference canonical quantities at one temperature, evaluated point by
+    point the way ``thermo.canonical_scalars`` did before the grid path: the
+    spectrum is sorted again for every temperature."""
+    e = np.sort(np.asarray(energies, dtype=np.float64))
+    beta = 1.0 / temperature
+    w = np.exp(-beta * (e - e[0]))
+    sw = float(np.sum(w))
+    probs = w / sw
+    log_sw = math.log(sw)
+    nz = probs[probs > 0]
+    return {
+        "log_Z": -beta * e[0] + log_sw,
+        "F": e[0] - temperature * log_sw,
+        "U": float(probs @ e),
+        "S": float(-np.sum(nz * np.log(nz))),
+        "p": 1.0 / sw,
+    }
+
+
+def point_report(spectral, temperature: float, est):
+    """Reference witness report at one temperature from ``point_canonical``."""
+    from thermwit.witness import GUARD, WitnessReport
+
+    sc = point_canonical(spectral.eigenvalues, temperature)
+    neg_ln_p = -math.log(sc["p"])
+    return WitnessReport(
+        T=float(temperature), S=sc["S"], p=sc["p"], neg_ln_p=neg_ln_p,
+        E_lower=float(est.lower), E_upper=est.upper,
+        eq2_fires=bool(neg_ln_p < est.lower - GUARD),
+        eq4_fires=bool(sc["S"] < est.lower - GUARD),
+        ground_degeneracy=spectral.ground_degeneracy,
+    )
+
+
+def point_threshold(spectral, kind: str, e_lower: float, bracket, tol: float):
+    """Reference threshold bisection on ``point_canonical``: the steps and
+    comparisons of ``witness.critical_temperature``, with its input checks
+    left out."""
+    from thermwit.witness import T_CEILING
+
+    if e_lower <= 0:
+        return None
+
+    def quantity(t):
+        sc = point_canonical(spectral.eigenvalues, t)
+        return sc["S"] if kind == "eq4" else -math.log(sc["p"])
+
+    t_lo, t_hi = float(bracket[0]), float(bracket[1])
+    if quantity(t_lo) >= e_lower:
+        return None
+    while quantity(t_hi) < e_lower:
+        t_hi *= 10.0
+        if t_hi > T_CEILING:
+            return None
+    while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        if quantity(mid) < e_lower:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)
 
 
 def shannon(probs) -> float:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermwit import DimensionCapError, SpinModelSpec, cli, spin_spectrum
+from thermwit import DimensionCapError, SpinModelSpec, cli, models, spin_spectrum
+from thermwit.models import build_spin_hamiltonian
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -130,6 +131,8 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
         {"kind": "custom_terms", "n_sites": 2, "J": 5, "custom_terms": [[[0], "X", 1.0]]},
         {"kind": "heisenberg", "n_sites": 2, "J": 1.0, "coupling": 1.0},
         {"kind": "transverse_ising", "n_sites": 2, "h": 1.0, "field": 1.0},
+        {"kind": "custom_terms", "n_sites": 3, "boundary": "periodic",
+         "custom_terms": [[[0, 1], "ZZ", 1.0], [[2], "X", 0.5]]},
     ):
         model = write_model(tmp_path, payload)
         assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -302,6 +305,34 @@ def test_energy_witness_command(tmp_path):
     assert payload["entangled"] is True
 
 
+@pytest.mark.parametrize("payload, builds", [
+    ({"kind": "heisenberg", "n_sites": 4, "boundary": "periodic"}, 1),
+    # diagonalized in the real X<->Y frame, so the oracle's plain matrix is a second build
+    ({"kind": "custom_terms", "n_sites": 3,
+      "custom_terms": [[[0, 1], "ZZ", 1.0], [[1, 2], "XX", 0.5], [[0], "Y", 0.3]]}, 2),
+])
+def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, builds, tmp_path,
+                                                               monkeypatch):
+    spec = SpinModelSpec(**payload)
+    assert (spin_spectrum(spec).frame is not None) == (builds == 2)
+    calls = []
+
+    def counting_build(spec):
+        calls.append(spec)
+        return build_spin_hamiltonian(spec)
+
+    monkeypatch.setattr(models, "build_spin_hamiltonian", counting_build)
+    monkeypatch.setattr(cli, "build_spin_hamiltonian", counting_build)
+    out = tmp_path / "ew.csv"
+    argv = ["energy-witness", "--model", write_model(tmp_path, payload), "--restarts", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert len(calls) == builds
+    monkeypatch.undo()
+    reference = tmp_path / "reference.csv"
+    assert main(argv + ["--out", str(reference)]) == EXIT_OK
+    assert out.read_bytes() == reference.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # selfcheck
 # ---------------------------------------------------------------------------
@@ -436,6 +467,28 @@ def test_real_frame_sweep_independent_of_blas_threads(tmp_path):
     for key in ("T_star_eq2", "T_star_eq4"):
         assert (one[key] is None) == (two[key] is None)
         assert one[key] is None or abs(one[key] - two[key]) <= 1e-6  # the default --tstar-tol
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # one process parses every call with the same cached parser; each output
+    # must equal that of the same call alone in a fresh process
+    heis2 = str(GOLDEN_INPUTS / "heis2.json")
+    calls = [
+        ["spin-sweep", "--model", heis2, "--temps", "1:4:3", "--upper", "--max-iter", "3"],
+        ["spin-sweep", "--model", heis2, "--temps", "1:4:3"],
+        ["ree", "--model", heis2, "--max-iter", "3", "--restarts", "2"],
+        ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
+         "--fit-window", "0.05:0.3"],
+    ]
+    in_process = []
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+        in_process.append(capsys.readouterr().out)
+    for argv, text in zip(calls, in_process):
+        code = f"import sys; from thermwit.cli import main; sys.exit(main({argv!r}))"
+        done = _run_python(code, tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == text
 
 
 def test_runs_without_scipy(tmp_path):

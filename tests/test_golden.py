@@ -27,6 +27,8 @@ DATA_CASES = {
                                "--upper", "--max-iter", "3", "--seed", "5"],
     "spin_sweep_product": ["spin-sweep", "--model", "product_tfi3.json",
                            "--temps", "0.5:5:4:log"],
+    "spin_sweep_tfi7_ring": ["spin-sweep", "--model", "tfi7_ring.json",
+                             "--temps", "0.01:20:400:log"],
     "gas_scan_file_mb": ["gas-scan", "--spectrum", "boltzmann4.json",
                          "--temps", "1:100:10:log", "--fit-window", "1:100"],
     "gas_scan_gen": ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thermwit import thermo
 from thermwit import (
     HermitianOperator,
     PureState,
@@ -16,7 +18,7 @@ from thermwit import (
     thermal_ensemble,
     von_neumann_entropy,
 )
-from conftest import LN2, heis2_closed_form
+from conftest import LN2, heis2_closed_form, point_canonical
 
 
 def level_system(energies):
@@ -214,3 +216,53 @@ def test_entropy_monotone_in_temperature():
     entropies = [canonical_scalars(energies, float(t)).S for t in grid]
     diffs = np.diff(entropies)
     assert np.all(diffs >= -1e-10)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation
+# ---------------------------------------------------------------------------
+
+#: Random spectra: d levels in [-1, 1] times a width up to 1e4 (the cold end
+#: of the grid then underflows the top weights to 0), the lowest level
+#: repeated up to 3 times, and ascending grids of 1 to 60 temperatures.
+spectra_and_grids = dict(
+    levels=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300),
+    width=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    ground_copies=st.integers(1, 3),
+    log10_ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60, unique=True),
+)
+
+
+def _spectrum(levels, width, ground_copies):
+    e = np.asarray(levels) * width
+    return np.concatenate([np.full(ground_copies - 1, e.min()), e])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**spectra_and_grids)
+def test_grid_scalars_equal_one_point_evaluation(levels, width, ground_copies, log10_ts):
+    energies = _spectrum(levels, width, ground_copies)
+    temps = [10.0 ** x for x in sorted(log10_ts)]
+    s, p = thermo.entropy_and_weight(thermo.shifted_levels(energies), temps)
+    for t, s_t, p_t in zip(temps, s.tolist(), p.tolist()):
+        reference = point_canonical(energies, t)
+        assert (s_t, p_t) == (reference["S"], reference["p"])
+        assert vars(canonical_scalars(energies, t)) == reference
+
+
+def test_grid_row_blocks_do_not_change_the_values(monkeypatch):
+    energies = np.random.default_rng(3).uniform(-40.0, 40.0, 64)
+    levels = thermo.shifted_levels(energies)
+    temps = np.geomspace(1e-2, 1e2, 50)
+    whole = thermo.entropy_and_weight(levels, temps)
+    assert whole[1][0] > 0 and np.any(np.exp(-levels / temps[0]) == 0)  # an underflowed tail
+    monkeypatch.setattr(thermo, "_BLOCK_BYTES", 3 * 8 * levels.size)  # 3 rows per block
+    blocked = thermo.entropy_and_weight(levels, temps)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_grid_rejects_nonpositive_temperature():
+    levels = thermo.shifted_levels([0.0, 1.0])
+    for bad in ([1.0, 0.0], [math.nan], [0.5, math.inf], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            thermo.entropy_and_weight(levels, bad)

@@ -21,7 +21,7 @@ from thermwit import (
     thermal_ensemble,
 )
 from thermwit.witness import WitnessReport
-from conftest import LN2, heis2_closed_form
+from conftest import LN2, heis2_closed_form, point_report, point_threshold
 
 # frozen pre-build oracle values (bisection on closed-form entropies)
 HEIS2_T_STAR_EQ2 = 4.0 / math.log(3.0)  # 3.6409569065...
@@ -262,3 +262,30 @@ def test_weight_entropy_chain_on_any_spectrum(levels, log10_t, e_lower):
     rep = evaluate_witness(eig_hermitian(h), 10.0 ** log10_t, est)  # raises on a violation
     assert rep.neg_ln_p <= rep.S + 1e-9
     assert rep.eq2_fires or not rep.eq4_fires
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([0.1, 1.0, 30.0, 3000.0]),
+    ground_copies=st.integers(1, 3),
+    log10_ts=st.lists(st.floats(-3.0, 2.0), min_size=1, max_size=30, unique=True),
+)
+def test_sweep_equals_point_by_point_evaluation(n_sites, seed, width, ground_copies, log10_ts):
+    # random spectra on random (generically entangled) eigenbases, with a
+    # degenerate ground level and, for wide spectra, underflowing weights
+    rng = np.random.default_rng(seed)
+    d = 2 ** n_sites
+    e = np.sort(rng.uniform(-1.0, 1.0, d)) * width
+    e[:ground_copies] = e[0]
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    spectral = eig_hermitian(HermitianOperator((q * e) @ q.T, (2,) * n_sites))
+    grid = sorted({10.0 ** x for x in log10_ts})
+    res = sweep(spectral, grid)
+    est = ree_lower_bound(ground_state(spectral))
+    for t, rep in zip(grid, res.reports, strict=True):
+        assert rep == evaluate_witness(spectral, t, est) == point_report(spectral, t, est)
+    bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
+    for kind, t_star in (("eq2", res.T_star_eq2), ("eq4", res.T_star_eq4)):
+        assert t_star == point_threshold(spectral, kind, est.lower, bracket, 1e-6)
