@@ -10,9 +10,8 @@ units.
 """
 
 from .qops import (
-    DIM_CAP,
+    DENSE_BYTES,
     DensityOperator,
-    DimensionCapError,
     HermitianOperator,
     PureState,
     SpectralDecomposition,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
-from .models import ModeSpectrum, SpinModelSpec, _xy_framed, build_spin_hamiltonian
+from .models import ModeSpectrum, SpinModelSpec, _xy_swapped, build_spin_hamiltonian
 from .models import ground_state, make_spectrum, spin_spectrum
 from .qops import eig_hermitian
 from .seeding import child_seed, named_rng
@@ -296,7 +296,7 @@ def run_ree(args: argparse.Namespace) -> Payload:
 
 def run_energy_witness(args: argparse.Namespace) -> Payload:
     spec = load_model(args.model)
-    if _xy_framed(spec):  # E0 from the real-frame matrix; the oracle reads the plain one
+    if _xy_swapped(spec):  # E0 from the real swapped matrix; the oracle reads the plain one
         spectral = spin_spectrum(spec)
         h = build_spin_hamiltonian(spec)
     else:
@@ -464,7 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except MemoryError as exc:  # includes DimensionCapError
+    except MemoryError as exc:  # a dense-size cap or a failed allocation
         print(f"resource limit: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

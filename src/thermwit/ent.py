@@ -158,7 +158,7 @@ def ree_lower_bound(psi: PureState) -> EntanglementEstimate:
 
     A valid lower bound on the relative entropy of entanglement with respect
     to fully separable states. Cut enumeration is exhaustive
-    (2**(n-1) - 1 cuts), which is why spin systems are capped at 12 sites.
+    (2**(n-1) - 1 cuts).
     """
     n = len(psi.dims)
     best = 0.0

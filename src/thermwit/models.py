@@ -14,16 +14,16 @@ wrap-around bond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qops import (
-    DimensionCapError,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
     _fix_phases,
+    check_dense_size,
     eig_hermitian,
 )
 from .seeding import named_rng
@@ -31,9 +31,6 @@ from .seeding import named_rng
 SPIN_KINDS = ("heisenberg", "xy", "transverse_ising", "custom_terms")
 BOUNDARIES = ("open", "periodic")
 STATISTICS = ("bose", "fermi", "boltzmann")
-
-#: Largest qubit chain accepted (2**12 = 4096 dense).
-MAX_SPIN_SITES = 12
 
 #: Term = (site indices, Pauli labels, coefficient), e.g. ((0, 2), "XZ", 0.5).
 CustomTerm = tuple[tuple[int, ...], str, float]
@@ -53,10 +50,7 @@ class SpinModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {SPIN_KINDS}")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
-        if self.n_sites > MAX_SPIN_SITES:
-            raise DimensionCapError(
-                f"n_sites {self.n_sites} exceeds the {MAX_SPIN_SITES}-qubit dense cap"
-            )
+        check_dense_size(2 ** min(self.n_sites, 64))  # 2**64 is over any cap; keeps the int small
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
         if not (math.isfinite(self.coupling) and math.isfinite(self.field)):
@@ -183,32 +177,41 @@ def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
     return HermitianOperator(h, (2,) * n)
 
 
-#: u = (X+Y)/sqrt(2): u^dag sigma u is sigma with X and Y swapped, negated for Z.
-_XY_FRAME = np.array([[0, 1 - 1j], [1 + 1j, 0]]) / math.sqrt(2)
+#: i**k for k = 0..3, exactly.
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _xy_framed(spec: SpinModelSpec) -> SpinModelSpec | None:
-    """The model with X and Y relabelled when that makes the matrix real:
-    some nonzero term has an odd number of Y and none an odd number of X.
-    None when the relabelling does not apply."""
+def _xy_swapped(spec: SpinModelSpec) -> SpinModelSpec | None:
+    """The model with X and Y swapped when that makes the matrix real: some
+    nonzero term has an odd number of Y and none an odd number of X. None
+    when the swap does not apply."""
     terms = [term for term in pauli_terms(spec) if term[2] != 0]
     odd = {axis for _, labels, _ in terms for axis in "XY" if labels.count(axis) % 2}
     if odd != {"Y"}:
         return None
     swap = str.maketrans("XY", "YX")
-    relabelled = tuple((sites, labels.translate(swap), coeff * (-1) ** labels.count("Z"))
-                       for sites, labels, coeff in terms)
-    return SpinModelSpec("custom_terms", spec.n_sites, custom_terms=relabelled)
+    swapped = tuple((sites, labels.translate(swap), coeff) for sites, labels, coeff in terms)
+    return SpinModelSpec("custom_terms", spec.n_sites, custom_terms=swapped)
 
 
 def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:
-    """Diagonalize with X and Y relabelled when that makes the matrix real
-    (see ``_xy_framed``). The relabelling keeps Z diagonal, so it keeps
-    every block; ``columns`` rotates the eigenvectors back."""
-    framed = _xy_framed(spec)
-    if framed is None:
+    """Diagonalize, with X and Y swapped when that makes the matrix real
+    (see ``_xy_swapped``).
+
+    The swap is the diagonal gauge D = diag(1, i) on every site: D^dag X D =
+    -Y, D^dag Y D = X and D^dag Z D = Z, and no term has an odd number of X,
+    so the swapped matrix is exactly D^dag H D. It has the blocks of H, and
+    an eigenvector of H is a swapped one times D: row s times i**popcount(s).
+    """
+    swapped = _xy_swapped(spec)
+    if swapped is None:
         return eig_hermitian(build_spin_hamiltonian(spec))
-    return replace(eig_hermitian(build_spin_hamiltonian(framed)), frame=_XY_FRAME)
+    dec = eig_hermitian(build_spin_hamiltonian(swapped))  # the swapped matrix is freed here
+    blocks = []
+    for rows, positions, vecs in dec.blocks:
+        popcount = sum((rows >> bit) & 1 for bit in range(spec.n_sites))
+        blocks.append((rows, positions, vecs * _I_POWERS[popcount % 4, None]))
+    return SpectralDecomposition(dec.eigenvalues, tuple(blocks), dec.dims)
 
 
 def ground_state(spectral: SpectralDecomposition) -> PureState:

@@ -20,8 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-#: Maximum total Hilbert-space dimension accepted by constructors.
-DIM_CAP = 16384
+#: Largest dense operator accepted, in bytes: one complex 12-qubit matrix.
+DENSE_BYTES = 16 * 4096 ** 2
 
 #: Tolerance for the Hermiticity invariant (max-entry norm of A - A^dag).
 HERMITICITY_TOL = 1e-10
@@ -39,8 +39,13 @@ DEGENERACY_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 
 
-class DimensionCapError(MemoryError):
-    """Requested Hilbert space exceeds the dense-storage dimension cap."""
+def check_dense_size(dim: int) -> None:
+    """Raise ``MemoryError`` when a dense complex ``dim`` x ``dim`` matrix
+    would exceed DENSE_BYTES; callers check before they allocate."""
+    size = 16 * dim * dim
+    if size > DENSE_BYTES:
+        raise MemoryError(f"dimension {dim} needs {size} bytes per dense operator, "
+                          f"over the {DENSE_BYTES}-byte cap")
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -49,9 +54,7 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("need at least one site")
     if any(d < 2 for d in dims):
         raise ValueError(f"every local dimension must be >= 2, got {dims}")
-    total = math.prod(dims)
-    if total > DIM_CAP:
-        raise DimensionCapError(f"total dimension {total} exceeds cap {DIM_CAP}")
+    check_dense_size(math.prod(dims))
     return dims
 
 
@@ -151,14 +154,12 @@ class SpectralDecomposition:
     connected component of its nonzero pattern), stored as (those indices,
     the positions of its eigenvalues in ``eigenvalues``, its eigenvector
     columns). The dense eigenvector matrix is assembled only when
-    ``eigenvectors`` is read; ``columns`` gives the lowest few columns, with
-    the block vectors rotated by a ``frame`` u (2x2 unitary) on every site.
+    ``eigenvectors`` is read; ``columns`` gives the lowest few columns.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     dims: tuple[int, ...]
-    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
@@ -167,12 +168,6 @@ class SpectralDecomposition:
             for arr in block:
                 arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        if self.frame is not None:
-            u = _as_locked_complex(self.frame)
-            if (u.shape != (2, 2) or set(self.dims) != {2}
-                    or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12):
-                raise ValueError(f"frame must be a 2x2 unitary on qubit sites, got {self.frame}")
-            object.__setattr__(self, "frame", u)
 
     @cached_property
     def ground_degeneracy(self) -> int:
@@ -186,8 +181,6 @@ class SpectralDecomposition:
         for rows, positions, vecs in self.blocks:
             keep = positions < count
             out[np.ix_(rows, positions[keep])] = vecs[:, keep]
-        for site in range(len(self.dims)) if self.frame is not None else ():
-            out = (self.frame @ out.reshape(2 ** site, 2, -1)).reshape(out.shape)
         return out
 
     @cached_property

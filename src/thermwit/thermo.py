@@ -128,8 +128,7 @@ class ThermalEnsemble(CanonicalScalars):
     def rho_T(self) -> DensityOperator:
         """Dense Gibbs density matrix, built on first read (it costs O(d^3))."""
         e = self.spectral.eigenvalues
-        probs = np.exp(-self.beta * (e - e[0]))
-        probs /= probs.sum()
+        probs = _boltzmann(e - e[0], np.array([self.temperature]))[0][0]
         vecs = self.spectral.eigenvectors
         rho = (vecs * probs) @ vecs.conj().T
         return DensityOperator(0.5 * (rho + rho.conj().T), self.spectral.dims)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermwit import DimensionCapError, SpinModelSpec, cli, models, spin_spectrum
-from thermwit.models import build_spin_hamiltonian
+from thermwit import SpinModelSpec, cli, models
+from thermwit.models import _xy_swapped, build_spin_hamiltonian
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -189,7 +189,6 @@ def test_dimension_cap_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("exc_type, code, prefix", [
     (ConfigError, EXIT_CONFIG, "config error"),
     (ValueError, EXIT_CONFIG, "config error"),
-    (DimensionCapError, EXIT_RESOURCE, "resource limit"),
     (MemoryError, EXIT_RESOURCE, "resource limit"),
     (np.linalg.LinAlgError, EXIT_NUMERICAL, "numerical failure"),
     (RuntimeError, EXIT_NUMERICAL, "numerical failure"),
@@ -307,14 +306,14 @@ def test_energy_witness_command(tmp_path):
 
 @pytest.mark.parametrize("payload, builds", [
     ({"kind": "heisenberg", "n_sites": 4, "boundary": "periodic"}, 1),
-    # diagonalized in the real X<->Y frame, so the oracle's plain matrix is a second build
+    # diagonalized with X and Y swapped, so the oracle's plain matrix is a second build
     ({"kind": "custom_terms", "n_sites": 3,
       "custom_terms": [[[0, 1], "ZZ", 1.0], [[1, 2], "XX", 0.5], [[0], "Y", 0.3]]}, 2),
 ])
 def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, builds, tmp_path,
                                                                monkeypatch):
     spec = SpinModelSpec(**payload)
-    assert (spin_spectrum(spec).frame is not None) == (builds == 2)
+    assert (_xy_swapped(spec) is not None) == (builds == 2)
     calls = []
 
     def counting_build(spec):
@@ -450,7 +449,7 @@ REAL_FRAME_MODEL = {
 def test_real_frame_sweep_independent_of_blas_threads(tmp_path):
     # no byte check: the eigenvalues move by ~1e-14 with the thread count on
     # the real path as on the complex one, so a 12th CSV digit can flip
-    assert spin_spectrum(SpinModelSpec(**REAL_FRAME_MODEL)).frame is not None
+    assert _xy_swapped(SpinModelSpec(**REAL_FRAME_MODEL)) is not None
     argv = SWEEP_ARGS + ["--format", "json", "--model", write_model(tmp_path, REAL_FRAME_MODEL)]
     code = f"import sys; from thermwit.cli import main; sys.exit(main({argv!r}))"
     runs = []

@@ -1,10 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from thermwit import (
-    DimensionCapError,
     ModeSpectrum,
     SpectralDecomposition,
     SpinModelSpec,
@@ -12,12 +12,13 @@ from thermwit import (
     eig_hermitian,
     ground_state,
     make_spectrum,
+    models,
     ree_lower_bound,
     spin_spectrum,
 )
-from thermwit.models import _XY_FRAME, SPIN_KINDS, chain_bonds
+from thermwit.models import SPIN_KINDS, _xy_swapped, chain_bonds
 from thermwit.qops import DEGENERACY_TOL
-from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string
+from conftest import SX, SZ, kron_hamiltonian, pauli_string
 
 
 def heis(n, J=1.0, boundary="open"):
@@ -121,10 +122,13 @@ def _random_spec(rng, kind, n, boundary):
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 @pytest.mark.parametrize("kind", SPIN_KINDS + ("frame_switching",))
-def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
+def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng, monkeypatch):
     """Bit-operation assembly equals the Kronecker sum exactly; the block
-    eigendecomposition, and ``spin_spectrum`` in whatever Pauli frame it
-    picks, match the dense one in energies and ground level."""
+    eigendecomposition, and ``spin_spectrum`` with or without the X<->Y
+    swap, match the dense one in energies and ground level."""
+    handed_imag = []  # whether each matrix spin_spectrum diagonalizes is complex
+    monkeypatch.setattr(models, "eig_hermitian",
+                        lambda h: handed_imag.append(h.matrix.imag.any()) or eig_hermitian(h))
     for n in (2, 4, 7, 10 if boundary == "periodic" else 9):
         spec = _random_spec(rng, kind, n, boundary)
         h = build_spin_hamiltonian(spec)
@@ -141,17 +145,37 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
         ground = framed.columns(g) @ framed.columns(g).conj().T
         assert np.max(np.abs(ground - dense)) <= 1e-10
         if kind in ("heisenberg", "xy", "transverse_ising"):
-            assert framed.frame is None
+            assert _xy_swapped(spec) is None
         if kind == "frame_switching":
-            assert all(vecs.dtype == np.float64 for _, _, vecs in framed.blocks)
+            assert _xy_swapped(spec) is not None and not handed_imag[-1]
 
 
-def test_pauli_frame_signs_follow_from_its_unitary():
-    pauli = {"X": SX, "Y": SY, "Z": SZ}
-    swapped = {"X": SY, "Y": SX, "Z": -SZ}
-    u = _XY_FRAME
-    for label, sigma in pauli.items():
-        assert np.allclose(u.conj().T @ sigma @ u, swapped[label], rtol=0, atol=1e-15)
+def test_xy_swap_is_the_diagonal_gauge(rng):
+    """With D = diag(1, i) on every site, the swapped matrix is exactly
+    D^dag H D, and spin_spectrum's eigenvectors (the swapped ones times D)
+    diagonalize H."""
+    for n in (2, 3, 5, 8):
+        terms = [(b, p + p, float(rng.normal())) for b in chain_bonds(n, "periodic") for p in "XYZ"]
+        terms += [((i,), p, float(rng.normal())) for p in "YZ" for i in range(n)]
+        terms += [((i, i + 1, i + 2), "YYY", float(rng.normal())) for i in range(n - 2)]
+        terms += [((n - 1,), "X", 0.0)]  # a zero term does not block the swap
+        terms = [terms[k] for k in rng.permutation(len(terms))]
+        spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
+        h = build_spin_hamiltonian(spec)
+        phase = reduce(np.kron, [np.array([1, 1j])] * n)
+        swapped = build_spin_hamiltonian(_xy_swapped(spec)).matrix
+        assert np.array_equal(phase.conj()[:, None] * h.matrix * phase, swapped)
+        dec = spin_spectrum(spec)
+        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+        assert np.max(np.abs(rebuilt - h.matrix)) <= 1e-12
+        assert np.array_equal(dec.columns(3), dec.eigenvectors[:, :3])
+    bonds = chain_bonds(4, "open")
+    dm = [(b, p, c) for b in bonds for p, c in (("XY", 1.0), ("YX", -1.0), ("ZZ", 0.5))]
+    for spec in (SpinModelSpec(kind="heisenberg", n_sites=4),
+                 SpinModelSpec(kind="xy", n_sites=4),
+                 SpinModelSpec(kind="transverse_ising", n_sites=4, field=0.7),
+                 SpinModelSpec(kind="custom_terms", n_sites=4, custom_terms=tuple(dm))):
+        assert _xy_swapped(spec) is None
 
 
 def test_pauli_frame_keeps_the_blocks_of_the_computational_one():
@@ -159,15 +183,16 @@ def test_pauli_frame_keeps_the_blocks_of_the_computational_one():
     bonds = chain_bonds(n, "open")
     # a DM model XY - YX + ZZ is complex in either frame and keeps its Sz sectors
     terms = [(b, p, c) for b in bonds for p, c in (("XY", 1.0), ("YX", -1.0), ("ZZ", 0.5))]
-    dec = spin_spectrum(SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms)))
-    assert dec.frame is None and len(dec.blocks) == n + 1
+    spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
+    dec = spin_spectrum(spec)
+    assert _xy_swapped(spec) is None and len(dec.blocks) == n + 1
     # YYY on each triple, with ZZ bonds, is real with X as Y; Z stays
     # diagonal, so the four cosets of the flip masks' span stay four blocks
     terms = [((i, i + 1, i + 2), "YYY", 0.7) for i in range(n - 2)]
     terms += [(b, "ZZ", 1.0) for b in bonds]
     spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
     dec = spin_spectrum(spec)
-    assert dec.frame is not None
+    assert _xy_swapped(spec) is not None
     assert len(dec.blocks) == len(eig_hermitian(build_spin_hamiltonian(spec)).blocks) == 4
 
 
@@ -213,7 +238,7 @@ def test_canonical_ground_vector_is_frame_independent():
     spec = SpinModelSpec(kind="custom_terms", n_sites=3,
                          custom_terms=(((0,), "Y", 0.6), ((0, 1), "ZZ", 1.0)))
     framed = spin_spectrum(spec)
-    assert framed.frame is not None and framed.ground_degeneracy == 4
+    assert _xy_swapped(spec) is not None and framed.ground_degeneracy == 4
     psi = ground_state(framed)
     reference = ground_state(eig_hermitian(build_spin_hamiltonian(spec)))
     assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) <= 1e-10
@@ -229,7 +254,7 @@ def test_spec_rejects_bad_inputs():
         SpinModelSpec(kind="xyz-chain", n_sites=2)
     with pytest.raises(ValueError, match="n_sites"):
         SpinModelSpec(kind="xy", n_sites=1)
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(MemoryError, match="cap"):
         SpinModelSpec(kind="xy", n_sites=13)
     with pytest.raises(ValueError, match="boundary"):
         SpinModelSpec(kind="xy", n_sites=2, boundary="twisted")

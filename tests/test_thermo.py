@@ -8,6 +8,7 @@ from thermwit import thermo
 from thermwit import (
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
     SpinModelSpec,
     build_spin_hamiltonian,
     canonical_scalars,
@@ -96,6 +97,21 @@ def test_ground_weight_degenerate_level_is_per_state():
     ens = thermal_ensemble(eig_hermitian(level_system([0.0, 0.0])), 3.7)
     assert ens.p == pytest.approx(0.5, abs=1e-12)
     assert ens.spectral.ground_degeneracy == 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 600), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), log10_t=st.floats(-3.0, 3.0))
+def test_rho_t_weights_have_the_bits_of_the_boltzmann_formula(d, seed, width, log10_t):
+    # rho_T takes its weights from the grid code; on the basis states they
+    # are exp(-beta (e - e0)) normalized by their sum, bit for bit
+    e = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, d) * width)
+    t = 10.0 ** log10_t
+    direct = np.exp(-(1.0 / t) * (e - e[0]))
+    direct /= direct.sum()
+    basis = np.arange(d)
+    ens = thermal_ensemble(SpectralDecomposition(e, ((basis, basis, np.eye(d)),), (d,)), t)
+    assert np.array_equal(ens.rho_T.matrix, np.diag(direct))
 
 
 def test_weight_matches_boltzmann_formula():
