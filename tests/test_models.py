@@ -18,7 +18,7 @@ from thermwit import (
 )
 from thermwit.models import SPIN_KINDS, _xy_swapped, chain_bonds
 from thermwit.qops import DEGENERACY_TOL
-from conftest import SX, SZ, kron_hamiltonian, pauli_string
+from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string
 
 
 def heis(n, J=1.0, boundary="open"):
@@ -148,6 +148,17 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng, monkeypat
             assert _xy_swapped(spec) is None
         if kind == "frame_switching":
             assert _xy_swapped(spec) is not None and not handed_imag[-1]
+
+
+def test_pauli_frame_signs_follow_from_its_unitary():
+    """The swap's per-site signs, and the phase table that undoes it, follow
+    from D = diag(1, i): X -> -Y, Y -> X, Z -> Z, and D^k = diag(1, i^k)."""
+    d = np.diag([1, 1j])
+    swapped = {"X": -SY, "Y": SX, "Z": SZ}
+    for label, sigma in {"X": SX, "Y": SY, "Z": SZ}.items():
+        assert np.array_equal(d.conj().T @ sigma @ d, swapped[label])
+    for k in range(8):
+        assert models._I_POWERS[k % 4] == np.linalg.matrix_power(d, k)[1, 1]
 
 
 def test_xy_swap_is_the_diagonal_gauge(rng):

@@ -7,6 +7,7 @@ from thermwit import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
     eig_hermitian,
     partial_trace,
     partial_transpose,
@@ -196,6 +197,23 @@ def test_eig_deterministic_output():
     a = eig_hermitian(op(mat, (2, 2)))
     b = eig_hermitian(op(mat, (2, 2)))
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_spectral_frame_rotates_columns_back(rng):
+    """Blocks diagonalized in a diagonally rotated frame, with each block's
+    rows multiplied back by the phase, form a decomposition of the original
+    operator with its block structure."""
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    parity = np.array([bin(s).count("1") % 2 for s in range(8)])
+    h = np.where(parity[:, None] == parity, a + a.conj().T, 0)  # two parity blocks
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=8))
+    rotated = eig_hermitian(op(phase.conj()[:, None] * h * phase, (2, 2, 2)))
+    blocks = tuple((rows, pos, vecs * phase[rows, None]) for rows, pos, vecs in rotated.blocks)
+    dec = SpectralDecomposition(rotated.eigenvalues, blocks, (2, 2, 2))
+    assert len(dec.blocks) == 2
+    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+    assert np.max(np.abs(rebuilt - h)) <= 1e-12
+    assert np.array_equal(dec.columns(3), dec.eigenvectors[:, :3])
 
 
 # ---------------------------------------------------------------------------
