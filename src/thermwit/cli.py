@@ -25,9 +25,8 @@ import numpy as np
 
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
-from .models import ModeSpectrum, SpinModelSpec, _xy_swapped, build_spin_hamiltonian
+from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian
 from .models import ground_state, make_spectrum, spin_spectrum
-from .qops import eig_hermitian
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -296,15 +295,9 @@ def run_ree(args: argparse.Namespace) -> Payload:
 
 def run_energy_witness(args: argparse.Namespace) -> Payload:
     spec = load_model(args.model)
-    if _xy_swapped(spec):  # E0 from the real swapped matrix; the oracle reads the plain one
-        spectral = spin_spectrum(spec)
-        h = build_spin_hamiltonian(spec)
-    else:
-        h = build_spin_hamiltonian(spec)
-        spectral = eig_hermitian(h)
-    e0 = float(spectral.eigenvalues[0])
+    e0 = float(spin_spectrum(spec).eigenvalues[0])
     seed = child_seed(args.seed, "energy-witness")
-    res = energy_witness(h, e0, restarts=args.restarts, seed=seed)
+    res = energy_witness(build_spin_hamiltonian(spec), e0, restarts=args.restarts, seed=seed)
     return _record(args, E0=e0, sep_min=res.sep_min, entangled=res.entangled)
 
 

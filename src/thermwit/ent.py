@@ -77,7 +77,8 @@ class EntanglementEstimate:
     converged: bool
 
     def __post_init__(self) -> None:
-        if self.upper is not None and self.lower > self.upper + 1e-6:
+        upper = math.inf if self.upper is None else self.upper
+        if not self.lower <= upper + 1e-6:  # also false for a NaN bound
             raise RuntimeError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper}"
             )
@@ -91,7 +92,7 @@ class ProductStateAnsatz:
 
     def __post_init__(self) -> None:
         for f in self.factors:
-            if abs(np.linalg.norm(f) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(f) - 1.0) <= 1e-10:
                 raise ValueError("every product factor must be unit-norm")
 
     def vector(self) -> np.ndarray:

@@ -22,9 +22,10 @@ from .qops import (
     HermitianOperator,
     PureState,
     SpectralDecomposition,
+    _check_hermitian,
+    _eig_blocks,
     _fix_phases,
     check_dense_size,
-    eig_hermitian,
 )
 from .seeding import named_rng
 
@@ -150,68 +151,87 @@ def pauli_terms(spec: SpinModelSpec) -> list[CustomTerm]:
     return [(b, "ZZ", -j) for b in bonds] + [((i,), "X", -spec.field) for i in range(n)]
 
 
-def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
-    """Assemble the dense Hamiltonian from its Pauli terms with bit operations.
-
-    Site 0 is the most significant bit of the basis index. A term flips the
-    bits of its X and Y sites, so it maps basis state s to s ^ flip with the
-    amplitude coeff * i**(#Y) * (-1)**(number of set Y/Z bits of s). Terms
-    are added in order, so the sum is the same as adding Kronecker products.
-    """
+def _amplitudes(spec: SpinModelSpec) -> dict[int, np.ndarray]:
+    """The Hamiltonian as a table {flip: amp}: entry (s ^ flip, s) is amp[s].
+    Site 0 is the most significant bit; a term flips the bits of its X and Y
+    sites with amplitude coeff * i**(#Y) * (-1)**(set bits of s on its Y and
+    Z sites). A flip's terms are added to zero in order, as a Kronecker sum
+    adds them, so every entry equals that sum bit for bit."""
     n = spec.n_sites
-    dim = 2 ** n
-    states = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    states = np.arange(2 ** n)
+    popcount = sum((states >> bit) & 1 for bit in range(n))
+    table = {}
     for sites, labels, coeff in pauli_terms(spec):
-        flip = 0
-        parity = np.zeros(dim, dtype=np.int64)
-        for site, label in zip(sites, labels):
-            bit = n - 1 - site
-            if label in "XY":
-                flip |= 1 << bit
-            if label in "YZ":
-                parity ^= (states >> bit) & 1
-        amp = coeff * 1j ** labels.count("Y") * np.where(parity, -1.0, 1.0)
-        h[states ^ flip, states] += amp
+        flip, signs = (sum(1 << (n - 1 - site) for site, label in zip(sites, labels)
+                           if label in axes) for axes in ("XY", "YZ"))
+        amp = coeff * 1j ** labels.count("Y") * np.where(popcount[states & signs] % 2, -1.0, 1.0)
+        table[flip] = table.get(flip, 0) + amp
+    return table
+
+
+def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
+    """The dense Hamiltonian, written from ``_amplitudes``."""
+    states = np.arange(2 ** spec.n_sites)
+    h = np.zeros((states.size, states.size), dtype=np.complex128)
+    for flip, amp in _amplitudes(spec).items():
+        h[states ^ flip, states] = amp
     h.setflags(write=False)  # the operator then keeps this array instead of a copy
-    return HermitianOperator(h, (2,) * n)
+    return HermitianOperator(h, (2,) * spec.n_sites)
 
 
 #: i**k for k = 0..3, exactly.
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _xy_swapped(spec: SpinModelSpec) -> SpinModelSpec | None:
-    """The model with X and Y swapped when that makes the matrix real: some
-    nonzero term has an odd number of Y and none an odd number of X. None
-    when the swap does not apply."""
-    terms = [term for term in pauli_terms(spec) if term[2] != 0]
-    odd = {axis for _, labels, _ in terms for axis in "XY" if labels.count(axis) % 2}
-    if odd != {"Y"}:
-        return None
-    swap = str.maketrans("XY", "YX")
-    swapped = tuple((sites, labels.translate(swap), coeff) for sites, labels, coeff in terms)
-    return SpinModelSpec("custom_terms", spec.n_sites, custom_terms=swapped)
+def _blocks(table: dict[int, np.ndarray], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(basis indices, submatrix) of each connected component of the table's
+    nonzero entries, by lowest index. A label propagates to the lowest index,
+    with pointer jumping; the nonzero pattern is Hermitian, so every link is
+    seen from both ends."""
+    links = [(np.flatnonzero(amp), flip) for flip, amp in table.items() if flip]
+    label, old = np.arange(dim), None
+    while not np.array_equal(label, old):
+        old = label.copy()
+        for s, flip in links:
+            label[s] = np.minimum(label[s], label[s ^ flip])
+        label = label[label]  # a label is never above its index, so this only lowers it
+    amps = np.stack([*table.values(), np.zeros(dim)])  # the last row: every absent flip
+    row_of = np.full(dim, len(table))
+    row_of[list(table)] = np.arange(len(table))
+    order = np.argsort(label, kind="stable")  # grouped by component, ascending within
+    return [(rows, amps[row_of[rows[:, None] ^ rows], rows])
+            for rows in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
 def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:
-    """Diagonalize, with X and Y swapped when that makes the matrix real
-    (see ``_xy_swapped``).
-
-    The swap is the diagonal gauge D = diag(1, i) on every site: D^dag X D =
-    -Y, D^dag Y D = X and D^dag Z D = Z, and no term has an odd number of X,
-    so the swapped matrix is exactly D^dag H D. It has the blocks of H, and
-    an eigenvector of H is a swapped one times D: row s times i**popcount(s).
-    """
-    swapped = _xy_swapped(spec)
-    if swapped is None:
-        return eig_hermitian(build_spin_hamiltonian(spec))
-    dec = eig_hermitian(build_spin_hamiltonian(swapped))  # the swapped matrix is freed here
-    blocks = []
-    for rows, positions, vecs in dec.blocks:
-        popcount = sum((rows >> bit) & 1 for bit in range(spec.n_sites))
-        blocks.append((rows, positions, vecs * _I_POWERS[popcount % 4, None]))
-    return SpectralDecomposition(dec.eigenvalues, tuple(blocks), dec.dims)
+    """Diagonalize block by block, straight from ``_amplitudes``, with no
+    2**n x 2**n array; each block is the dense submatrix bit for bit. A
+    complex table that is real in the gauge D = diag(1, i) on every site
+    (entry (s ^ flip, s) times conj(i**popcount(s ^ flip)) * i**popcount(s))
+    is diagonalized in it with real LAPACK, and eigenvector row s is then
+    multiplied by i**popcount(s). As D^dag X D = -Y, D^dag Y D = X and
+    D^dag Z D = Z, that is a complex model with no term of an odd number of X."""
+    n = spec.n_sites
+    states = np.arange(2 ** n)
+    popcount = sum((states >> bit) & 1 for bit in range(n))
+    table = _amplitudes(spec)
+    gauged = False
+    if any(amp.imag.any() for amp in table.values()):
+        turned = {flip: amp * _I_POWERS[(popcount - popcount[states ^ flip]) % 4]
+                  for flip, amp in table.items()}
+        gauged = not any(amp.imag.any() for amp in turned.values())
+        table = turned if gauged else table
+    if not any(amp.imag.any() for amp in table.values()):
+        table = {flip: amp.real for flip, amp in table.items()}
+    blocks = _blocks(table, states.size)
+    for _, sub in blocks:
+        _check_hermitian(sub)
+    dec = _eig_blocks(blocks, (2,) * n)
+    if not gauged:
+        return dec
+    blocks = tuple((rows, positions, vecs * _I_POWERS[popcount[rows] % 4, None])
+                   for rows, positions, vecs in dec.blocks)
+    return SpectralDecomposition(dec.eigenvalues, blocks, dec.dims)
 
 
 def ground_state(spectral: SpectralDecomposition) -> PureState:

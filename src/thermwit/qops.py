@@ -69,6 +69,25 @@ def _as_locked_complex(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_hermitian(mat: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the square ``mat`` is finite and Hermitian
+    to HERMITICITY_TOL in the max-entry norm."""
+    t = _TILE
+    # tiles on and above the diagonal cover every entry of A - A^dag; a
+    # non-finite entry makes its tile's deviation NaN or inf
+    with np.errstate(invalid="ignore"):
+        dev = np.max([
+            np.max(np.abs(mat[i:i + t, j:j + t] - mat[j:j + t, i:i + t].conj().T))
+            for i in range(0, len(mat), t)
+            for j in range(i, len(mat), t)
+        ])
+    if not dev <= HERMITICITY_TOL:
+        bad = mat.size - np.count_nonzero(np.isfinite(mat))
+        if bad:
+            raise ValueError(f"matrix has {bad} non-finite entries")
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Dense Hermitian matrix on a multi-site Hilbert space.
@@ -86,15 +105,7 @@ class HermitianOperator:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        # tiles on and above the diagonal cover every entry of A - A^dag
-        t = _TILE
-        dev = np.max([
-            np.max(np.abs(mat[i:i + t, j:j + t] - mat[j:j + t, i:i + t].conj().T))
-            for i in range(0, d, t)
-            for j in range(i, d, t)
-        ])
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        _check_hermitian(mat)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
@@ -114,10 +125,10 @@ class DensityOperator(HermitianOperator):
     def __post_init__(self) -> None:
         super().__post_init__()
         tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"trace {tr:.12g} is not 1 within 1e-10")
         lo = float(np.linalg.eigvalsh(self.matrix)[0])
-        if lo < -1e-10:
+        if not lo >= -1e-10:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-10")
 
 
@@ -135,7 +146,7 @@ class PureState:
         if amps.shape != (math.prod(dims),):
             raise ValueError(f"amplitude shape {amps.shape} does not match dims {dims}")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm:.15g} is not 1 within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -150,11 +161,11 @@ class SpectralDecomposition:
     """Ascending eigenvalues with the eigenvectors kept per block, on the
     site dimensions ``dims`` of the diagonalized operator.
 
-    A block is a set of basis indices that the operator never leaves (a
-    connected component of its nonzero pattern), stored as (those indices,
-    the positions of its eigenvalues in ``eigenvalues``, its eigenvector
-    columns). The dense eigenvector matrix is assembled only when
-    ``eigenvectors`` is read; ``columns`` gives the lowest few columns.
+    A block is a set of basis indices that the operator never leaves, as the
+    caller supplies them, stored as (those indices, the positions of its
+    eigenvalues in ``eigenvalues``, its eigenvector columns). The dense
+    eigenvector matrix is assembled only when ``eigenvectors`` is read;
+    ``columns`` gives the lowest few columns.
     """
 
     eigenvalues: np.ndarray
@@ -201,38 +212,14 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis indices of each connected component of the nonzero pattern,
-    in order of their lowest index."""
-    pattern = mat != 0
-    pattern |= pattern.T
-    unseen = np.ones(len(mat), dtype=bool)
-    blocks = []
-    while unseen.any():
-        members = frontier = np.arange(len(mat)) == np.argmax(unseen)
-        while frontier.any():
-            frontier = pattern[frontier].any(axis=0) & ~members
-            members = members | frontier
-        unseen &= ~members
-        blocks.append(np.flatnonzero(members))
-    return blocks
-
-
-def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
-    """Full eigendecomposition with ascending eigenvalues.
-
-    The matrix is split into the connected components of its nonzero
-    pattern, and each block is diagonalized on its own, with real LAPACK
-    when its imaginary part is exactly zero. ``np.linalg.LinAlgError``
-    propagates if the solver fails to converge; partial results are never
-    returned.
-    """
-    mat = a.matrix
-    rows_of = _connected_blocks(mat)
+def _eig_blocks(blocks: list, dims: tuple[int, ...]) -> SpectralDecomposition:
+    """Ascending eigendecomposition of an operator given as (basis indices,
+    square submatrix) blocks that cover every index, by lowest index. Each is
+    diagonalized on its own, with real LAPACK when its imaginary part is
+    exactly zero; ``np.linalg.LinAlgError`` propagates, never a partial result."""
     vals_of, vecs_of = [], []
-    for rows in rows_of:
-        sub = mat if rows.size == a.dim else mat[np.ix_(rows, rows)]
-        if not sub.imag.any():
+    for _, sub in blocks:
+        if np.iscomplexobj(sub) and not sub.imag.any():
             sub = sub.real
         vals, vecs = np.linalg.eigh(sub)
         vals_of.append(vals)
@@ -240,8 +227,13 @@ def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
     vals = np.concatenate(vals_of)
     order = np.argsort(vals, kind="stable")
     positions = np.split(np.argsort(order), np.cumsum([v.size for v in vals_of])[:-1])
-    blocks = tuple(zip(rows_of, positions, vecs_of))
-    return SpectralDecomposition(vals[order], blocks, a.dims)
+    out = tuple((rows, p, v) for (rows, _), p, v in zip(blocks, positions, vecs_of))
+    return SpectralDecomposition(vals[order], out, dims)
+
+
+def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
+    """Full eigendecomposition of the whole matrix as one block (``_eig_blocks``)."""
+    return _eig_blocks([(np.arange(a.dim), a.matrix)], a.dims)
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:

@@ -6,7 +6,8 @@ import string
 import numpy as np
 import pytest
 
-from thermwit import DensityOperator, PureState
+from thermwit import DensityOperator, PureState, models, spin_spectrum
+from thermwit.qops import _eig_blocks
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -115,6 +116,16 @@ def kron_hamiltonian(spec) -> np.ndarray:
         for sites, labels, coeff in spec.custom_terms:
             h += coeff * pauli_string(n, sites, labels)
     return h
+
+
+def solve_recording_blocks(spec):
+    """``spin_spectrum(spec)`` and the (rows, submatrix) blocks it hands to
+    the eigensolver."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_eig_blocks",
+                   lambda blocks, dims: handed.extend(blocks) or _eig_blocks(blocks, dims))
+        return spin_spectrum(spec), handed
 
 
 def bloch_grid_extreme(op4x4: np.ndarray, mode: str, n_theta: int = 180, n_phi: int = 180):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thermwit import SpinModelSpec, cli, models
-from thermwit.models import _xy_swapped, build_spin_hamiltonian
+from thermwit.models import build_spin_hamiltonian, spin_spectrum
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -174,6 +174,23 @@ def test_bad_tstar_tol_or_restarts_exits_2(tmp_path, capsys):
         assert message in captured.err
 
 
+def test_overflowing_terms_exit_2_before_any_eigensolver(tmp_path, capsys, monkeypatch):
+    # finite coefficients whose sum overflows: the block check names the
+    # non-finite entries instead of an eigensolver failing on them
+    model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2, "custom_terms": [
+        [[0], "Z", 1e308], [[0], "Z", 1e308], [[0, 1], "XX", 1.0]]})
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for command in (["spin-sweep", "--temps", "1:2:2"], ["ree"], ["energy-witness"]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(command + ["--model", model]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite entries" in err
+
+
 def test_unknown_model_key_exits_2(tmp_path, capsys):
     model = write_model(tmp_path, {"kind": "heisenberg", "n_sites": 2, "Jx": 1.0})
     assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -304,16 +321,13 @@ def test_energy_witness_command(tmp_path):
     assert payload["entangled"] is True
 
 
-@pytest.mark.parametrize("payload, builds", [
-    ({"kind": "heisenberg", "n_sites": 4, "boundary": "periodic"}, 1),
-    # diagonalized with X and Y swapped, so the oracle's plain matrix is a second build
-    ({"kind": "custom_terms", "n_sites": 3,
-      "custom_terms": [[[0, 1], "ZZ", 1.0], [[1, 2], "XX", 0.5], [[0], "Y", 0.3]]}, 2),
+@pytest.mark.parametrize("payload", [
+    {"kind": "heisenberg", "n_sites": 4, "boundary": "periodic"},
+    # real only in the diagonal gauge, which spin_spectrum applies to its blocks
+    {"kind": "custom_terms", "n_sites": 3,
+     "custom_terms": [[[0, 1], "ZZ", 1.0], [[1, 2], "XX", 0.5], [[0], "Y", 0.3]]},
 ])
-def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, builds, tmp_path,
-                                                               monkeypatch):
-    spec = SpinModelSpec(**payload)
-    assert (_xy_swapped(spec) is not None) == (builds == 2)
+def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, tmp_path, monkeypatch):
     calls = []
 
     def counting_build(spec):
@@ -322,10 +336,12 @@ def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, builds, t
 
     monkeypatch.setattr(models, "build_spin_hamiltonian", counting_build)
     monkeypatch.setattr(cli, "build_spin_hamiltonian", counting_build)
+    spin_spectrum(SpinModelSpec(**payload))
+    assert calls == []  # the spectrum comes from blocks, not from the dense matrix
     out = tmp_path / "ew.csv"
     argv = ["energy-witness", "--model", write_model(tmp_path, payload), "--restarts", "2"]
     assert main(argv + ["--out", str(out)]) == EXIT_OK
-    assert len(calls) == builds
+    assert len(calls) == 1  # the product-state oracle's dense matrix
     monkeypatch.undo()
     reference = tmp_path / "reference.csv"
     assert main(argv + ["--out", str(reference)]) == EXIT_OK
@@ -449,7 +465,6 @@ REAL_FRAME_MODEL = {
 def test_real_frame_sweep_independent_of_blas_threads(tmp_path):
     # no byte check: the eigenvalues move by ~1e-14 with the thread count on
     # the real path as on the complex one, so a 12th CSV digit can flip
-    assert _xy_swapped(SpinModelSpec(**REAL_FRAME_MODEL)) is not None
     argv = SWEEP_ARGS + ["--format", "json", "--model", write_model(tmp_path, REAL_FRAME_MODEL)]
     code = f"import sys; from thermwit.cli import main; sys.exit(main({argv!r}))"
     runs = []

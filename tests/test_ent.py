@@ -186,6 +186,15 @@ def test_lower_above_upper_is_a_numerical_failure():
                              iterations=0, converged=True)
 
 
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (math.nan, None), (1.0, math.nan),
+                                          (math.inf, 1.0)])
+def test_non_finite_bound_is_a_numerical_failure(lower, upper):
+    # lower <= upper is false for NaN, so a NaN bound fails the check
+    with pytest.raises(RuntimeError, match="exceeds upper bound"):
+        EntanglementEstimate(lower=lower, upper=upper, method="frank_wolfe_upper",
+                             iterations=0, converged=True)
+
+
 def test_sandwich_on_named_states():
     for psi in (bell_pure(), ghz_pure(), w_pure()):
         lower = ree_lower_bound(psi).lower

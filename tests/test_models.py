@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -16,15 +17,28 @@ from thermwit import (
     ree_lower_bound,
     spin_spectrum,
 )
-from thermwit.models import SPIN_KINDS, _xy_swapped, chain_bonds
+from thermwit.models import SPIN_KINDS, chain_bonds
 from thermwit.qops import DEGENERACY_TOL
-from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string
+from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string, solve_recording_blocks
 
 
 def heis(n, J=1.0, boundary="open"):
     return build_spin_hamiltonian(
         SpinModelSpec(kind="heisenberg", n_sites=n, coupling=J, boundary=boundary)
     )
+
+
+def assembled(blocks, dim):
+    """The block-diagonal matrix the blocks describe."""
+    out = np.zeros((dim, dim), dtype=np.result_type(*(sub for _, sub in blocks)))
+    for rows, sub in blocks:
+        out[np.ix_(rows, rows)] = sub
+    return out
+
+
+def diagonal_gauge(n):
+    """i**popcount(s) for every basis index s: D = diag(1, i) on every site."""
+    return reduce(np.kron, [np.array([1, 1j])] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +136,12 @@ def _random_spec(rng, kind, n, boundary):
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 @pytest.mark.parametrize("kind", SPIN_KINDS + ("frame_switching",))
-def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng, monkeypatch):
-    """Bit-operation assembly equals the Kronecker sum exactly; the block
-    eigendecomposition, and ``spin_spectrum`` with or without the X<->Y
-    swap, match the dense one in energies and ground level."""
-    handed_imag = []  # whether each matrix spin_spectrum diagonalizes is complex
-    monkeypatch.setattr(models, "eig_hermitian",
-                        lambda h: handed_imag.append(h.matrix.imag.any()) or eig_hermitian(h))
+def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
+    """Bit-operation assembly equals the Kronecker sum exactly; the dense
+    eigendecomposition, and ``spin_spectrum`` with or without the diagonal
+    gauge, match numpy's in energies and ground level; and every block
+    ``spin_spectrum`` solves is exactly a submatrix of H (or of the gauged
+    H)."""
     for n in (2, 4, 7, 10 if boundary == "periodic" else 9):
         spec = _random_spec(rng, kind, n, boundary)
         h = build_spin_hamiltonian(spec)
@@ -140,14 +153,51 @@ def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng, monkeypat
         dense = vecs[:, :g] @ vecs[:, :g].conj().T
         block = dec.columns(g) @ dec.columns(g).conj().T
         assert np.max(np.abs(block - dense)) <= 1e-10
-        framed = spin_spectrum(spec)
+        framed, handed = solve_recording_blocks(spec)
         assert np.max(np.abs(framed.eigenvalues - vals)) <= 1e-10
         ground = framed.columns(g) @ framed.columns(g).conj().T
         assert np.max(np.abs(ground - dense)) <= 1e-10
-        if kind in ("heisenberg", "xy", "transverse_ising"):
-            assert _xy_swapped(spec) is None
-        if kind == "frame_switching":
-            assert _xy_swapped(spec) is not None and not handed_imag[-1]
+        real_blocks = all(sub.dtype.kind == "f" for _, sub in handed)
+        if kind in ("heisenberg", "xy", "transverse_ising"):  # real without a gauge
+            assert real_blocks and not h.matrix.imag.any()
+        if kind == "frame_switching":  # complex, and real in the gauge
+            assert real_blocks and h.matrix.imag.any()
+        # each block is the (gauged) dense submatrix exactly, and the blocks
+        # partition the basis in order of their lowest index
+        gauged = real_blocks and h.matrix.imag.any()
+        phase = diagonal_gauge(n) if gauged else np.ones(2 ** n)
+        solved = phase.conj()[:, None] * h.matrix * phase
+        for rows, sub in handed:
+            assert np.array_equal(sub, solved[np.ix_(rows, rows)])
+        rows_of = [rows for rows, _ in handed]
+        assert np.array_equal(np.sort(np.concatenate(rows_of)), np.arange(2 ** n))
+        assert all(np.all(np.diff(rows) > 0) for rows in rows_of)
+        assert np.all(np.diff([rows[0] for rows in rows_of]) > 0)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("kind", ["heisenberg", "xy"])
+def test_sz_sectors_are_the_blocks(kind, n):
+    # XX and YY share a flip mask but cancel on |00> <-> |11>, so the blocks
+    # are the n + 1 Sz sectors, not the 2 cosets of the flip masks' span
+    spec = SpinModelSpec(kind=kind, n_sites=n, boundary="periodic")
+    dec = spin_spectrum(spec)
+    assert len(dec.blocks) == n + 1
+    assert sorted(rows.size for rows, _, _ in dec.blocks) == sorted(math.comb(n, k)
+                                                                    for k in range(n + 1))
+
+
+def test_spin_spectrum_never_builds_the_dense_matrix():
+    # tracemalloc counts numpy's buffers; one dense complex matrix is 16 MiB
+    # at 10 sites, and the largest Sz block of the ring is 252 x 252
+    spec = SpinModelSpec(kind="heisenberg", n_sites=10, boundary="periodic")
+    tracemalloc.start()
+    try:
+        spin_spectrum(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 ** 2
 
 
 def test_pauli_frame_signs_follow_from_its_unitary():
@@ -162,21 +212,23 @@ def test_pauli_frame_signs_follow_from_its_unitary():
 
 
 def test_xy_swap_is_the_diagonal_gauge(rng):
-    """With D = diag(1, i) on every site, the swapped matrix is exactly
-    D^dag H D, and spin_spectrum's eigenvectors (the swapped ones times D)
+    """With D = diag(1, i) on every site, a model with no term of an odd
+    number of X is real as D^dag H D, which is what spin_spectrum hands to
+    the eigensolver, and its eigenvectors (the gauged ones times D)
     diagonalize H."""
     for n in (2, 3, 5, 8):
         terms = [(b, p + p, float(rng.normal())) for b in chain_bonds(n, "periodic") for p in "XYZ"]
         terms += [((i,), p, float(rng.normal())) for p in "YZ" for i in range(n)]
         terms += [((i, i + 1, i + 2), "YYY", float(rng.normal())) for i in range(n - 2)]
-        terms += [((n - 1,), "X", 0.0)]  # a zero term does not block the swap
+        terms += [((n - 1,), "X", 0.0)]  # a zero term does not block the gauge
         terms = [terms[k] for k in rng.permutation(len(terms))]
         spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
         h = build_spin_hamiltonian(spec)
-        phase = reduce(np.kron, [np.array([1, 1j])] * n)
-        swapped = build_spin_hamiltonian(_xy_swapped(spec)).matrix
-        assert np.array_equal(phase.conj()[:, None] * h.matrix * phase, swapped)
-        dec = spin_spectrum(spec)
+        phase = diagonal_gauge(n)
+        dec, handed = solve_recording_blocks(spec)
+        gauged = assembled(handed, 2 ** n)
+        assert gauged.dtype.kind == "f" and h.matrix.imag.any()
+        assert np.array_equal(phase.conj()[:, None] * h.matrix * phase, gauged)
         rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
         assert np.max(np.abs(rebuilt - h.matrix)) <= 1e-12
         assert np.array_equal(dec.columns(3), dec.eigenvectors[:, :3])
@@ -186,7 +238,9 @@ def test_xy_swap_is_the_diagonal_gauge(rng):
                  SpinModelSpec(kind="xy", n_sites=4),
                  SpinModelSpec(kind="transverse_ising", n_sites=4, field=0.7),
                  SpinModelSpec(kind="custom_terms", n_sites=4, custom_terms=tuple(dm))):
-        assert _xy_swapped(spec) is None
+        _, handed = solve_recording_blocks(spec)
+        # not gauged: the blocks are H's own
+        assert np.array_equal(assembled(handed, 16), build_spin_hamiltonian(spec).matrix)
 
 
 def test_pauli_frame_keeps_the_blocks_of_the_computational_one():
@@ -195,16 +249,22 @@ def test_pauli_frame_keeps_the_blocks_of_the_computational_one():
     # a DM model XY - YX + ZZ is complex in either frame and keeps its Sz sectors
     terms = [(b, p, c) for b in bonds for p, c in (("XY", 1.0), ("YX", -1.0), ("ZZ", 0.5))]
     spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
-    dec = spin_spectrum(spec)
-    assert _xy_swapped(spec) is None and len(dec.blocks) == n + 1
-    # YYY on each triple, with ZZ bonds, is real with X as Y; Z stays
+    dec, handed = solve_recording_blocks(spec)
+    assert any(sub.dtype.kind == "c" for _, sub in handed) and len(dec.blocks) == n + 1
+    # YYY on each triple, with ZZ bonds, is real in the gauge; Z stays
     # diagonal, so the four cosets of the flip masks' span stay four blocks
     terms = [((i, i + 1, i + 2), "YYY", 0.7) for i in range(n - 2)]
     terms += [(b, "ZZ", 1.0) for b in bonds]
     spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
-    dec = spin_spectrum(spec)
-    assert _xy_swapped(spec) is not None
-    assert len(dec.blocks) == len(eig_hermitian(build_spin_hamiltonian(spec)).blocks) == 4
+    dec, handed = solve_recording_blocks(spec)
+    h = build_spin_hamiltonian(spec).matrix
+    assert all(sub.dtype.kind == "f" for _, sub in handed) and h.imag.any()
+    assert len(dec.blocks) == 4
+    # H has no entry between two blocks
+    block_of = np.empty(2 ** n, dtype=int)
+    for k, (rows, _, _) in enumerate(dec.blocks):
+        block_of[rows] = k
+    assert not h[block_of[:, None] != block_of].any()
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +308,12 @@ def test_canonical_ground_vector_is_frame_independent():
     # solved with X relabelled as Y, where the matrix is real
     spec = SpinModelSpec(kind="custom_terms", n_sites=3,
                          custom_terms=(((0,), "Y", 0.6), ((0, 1), "ZZ", 1.0)))
-    framed = spin_spectrum(spec)
-    assert _xy_swapped(spec) is not None and framed.ground_degeneracy == 4
+    framed, handed = solve_recording_blocks(spec)
+    h = build_spin_hamiltonian(spec)
+    assert all(sub.dtype.kind == "f" for _, sub in handed) and h.matrix.imag.any()
+    assert framed.ground_degeneracy == 4
     psi = ground_state(framed)
-    reference = ground_state(eig_hermitian(build_spin_hamiltonian(spec)))
+    reference = ground_state(eig_hermitian(h))
     assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) <= 1e-10
     assert abs(ree_lower_bound(psi).lower - ree_lower_bound(reference).lower) <= 1e-12
 

@@ -7,7 +7,8 @@ from thermwit import (
     DensityOperator,
     HermitianOperator,
     PureState,
-    SpectralDecomposition,
+    SpinModelSpec,
+    build_spin_hamiltonian,
     eig_hermitian,
     partial_trace,
     partial_transpose,
@@ -24,6 +25,7 @@ from conftest import (
     loop_partial_trace,
     random_density,
     random_pure,
+    solve_recording_blocks,
     w_pure,
 )
 
@@ -76,6 +78,19 @@ def test_density_rejects_bad_trace_and_negativity():
 def test_pure_state_norm_enforced():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0, 1.0]), (2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_construction_rejects_non_finite_values(bad):
+    # every comparison with NaN is false, so each check must fail closed
+    with pytest.raises(ValueError, match="non-finite"):
+        op(np.full((2, 2), bad), (2,))
+    with pytest.raises(ValueError, match="non-finite"):
+        op([[bad, 0], [0, 1]], (2,))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator(np.diag([bad, 0.5]), (2,))
+    with pytest.raises(ValueError, match="norm"):
+        PureState(np.array([bad, 1.0]), (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +215,17 @@ def test_eig_deterministic_output():
 
 
 def test_spectral_frame_rotates_columns_back(rng):
-    """Blocks diagonalized in a diagonally rotated frame, with each block's
-    rows multiplied back by the phase, form a decomposition of the original
-    operator with its block structure."""
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    parity = np.array([bin(s).count("1") % 2 for s in range(8)])
-    h = np.where(parity[:, None] == parity, a + a.conj().T, 0)  # two parity blocks
-    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=8))
-    rotated = eig_hermitian(op(phase.conj()[:, None] * h * phase, (2, 2, 2)))
-    blocks = tuple((rows, pos, vecs * phase[rows, None]) for rows, pos, vecs in rotated.blocks)
-    dec = SpectralDecomposition(rotated.eigenvalues, blocks, (2, 2, 2))
-    assert len(dec.blocks) == 2
+    """spin_spectrum diagonalizes YYY + ZZ, which is real only in the
+    diagonal gauge, block by block in that frame; with each block's rows
+    multiplied back by the phase the blocks form a decomposition of the
+    original operator with its block structure."""
+    terms = [((0, 1, 2), "YYY", float(rng.normal()))]
+    terms += [(b, "ZZ", float(rng.normal())) for b in ((0, 1), (1, 2))]
+    spec = SpinModelSpec(kind="custom_terms", n_sites=3, custom_terms=tuple(terms))
+    dec, handed = solve_recording_blocks(spec)
+    h = build_spin_hamiltonian(spec).matrix
+    assert h.imag.any() and all(sub.dtype.kind == "f" for _, sub in handed)
+    assert len(dec.blocks) == 4
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
     assert np.max(np.abs(rebuilt - h)) <= 1e-12
     assert np.array_equal(dec.columns(3), dec.eigenvectors[:, :3])
