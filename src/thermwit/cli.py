@@ -188,16 +188,14 @@ def _run_data(args: argparse.Namespace, run: Callable[[argparse.Namespace], Payl
 
 
 def _fw_config(args: argparse.Namespace, stream: str, **kwargs) -> FrankWolfeConfig:
-    return FrankWolfeConfig(
-        max_iter=args.max_iter, tol=args.tol, seed=child_seed(args.seed, stream), **kwargs
-    )
+    return FrankWolfeConfig(max_iter=args.max_iter, seed=child_seed(args.seed, stream), **kwargs)
 
 
 def run_spin_sweep(args: argparse.Namespace) -> Payload:
     spec = load_model(args.model)
     grid = parse_temps(args.temps)
     fw = _fw_config(args, "spin-sweep-fw") if args.upper else None
-    result = witness.sweep(spin_spectrum(spec), grid, fw_config=fw, t_star_tol=args.tstar_tol)
+    result = witness.sweep(spin_spectrum(spec), grid, fw_config=fw)
     body = {
         "command": "spin-sweep",
         "seed": args.seed,
@@ -412,10 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="spin model JSON file")
     p.add_argument("--temps", required=True, help="temperature grid lo:hi:count[:log]")
     p.add_argument("--upper", action="store_true", help="also compute the REE upper bound")
-    p.add_argument("--tol", type=float, default=1e-4, help="upper-bound duality-gap tolerance")
     p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-    p.add_argument("--tstar-tol", type=float, default=1e-6, dest="tstar_tol",
-                   help="bisection tolerance for the threshold temperatures")
 
     p = sub.add_parser("gas-scan", help="ideal-gas scan: occupations, entropy, scaling fit")
     p.add_argument("--spectrum", required=True,
@@ -430,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ree", help="REE bounds for a spin model's ground state")
     p.add_argument("--model", required=True)
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
 
     p = sub.add_parser("energy-witness", help="separable-energy witness for a spin model")

@@ -44,6 +44,9 @@ _MIX_EPSILON = 1e-3
 _STATIONARITY_TOL = 1e-10
 _MAX_ROUNDS = 200
 
+#: Frank-Wolfe stops once its duality gap falls below this.
+_FW_GAP_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class PartitionCut:
@@ -105,7 +108,6 @@ class ProductStateAnsatz:
 @dataclass(frozen=True)
 class FrankWolfeConfig:
     max_iter: int = 500
-    tol: float = 1e-4          # duality-gap stopping threshold
     restarts: int = 4          # fresh multistarts per linear-oracle call, >= 1
     seed: int = 42
 
@@ -113,8 +115,6 @@ class FrankWolfeConfig:
         _check_restarts(self.restarts)
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -320,9 +320,7 @@ def _objective_and_gradient(
 
 
 def ree_upper_bound(
-    rho: DensityOperator,
-    config: FrankWolfeConfig | None = None,
-    objective_trace: list[float] | None = None,
+    rho: DensityOperator, config: FrankWolfeConfig | None = None
 ) -> EntanglementEstimate:
     """Upper-bound the REE by conditional-gradient descent over separable states.
 
@@ -331,10 +329,8 @@ def ree_upper_bound(
     the product pure state that maximizes the linearized objective, with step
     size 2/(t+2) and best-iterate memory. Every iterate is separable, so the
     best objective seen is a valid upper bound even without convergence
-    (``converged=False`` then).
-
-    Pass a list as ``objective_trace`` to record the best objective after
-    each iteration (diagnostics; the sequence is nonincreasing).
+    (``converged=False`` then). It converges once the duality gap falls
+    below ``_FW_GAP_TOL``.
     """
     cfg = config or FrankWolfeConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -343,8 +339,6 @@ def ree_upper_bound(
     tr_rho_ln_rho = -von_neumann_entropy(rho)
     sigma = (1.0 - _MIX_EPSILON) * np.eye(d) / d + _MIX_EPSILON * np.diag(np.diag(mat))
     best, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
-    if objective_trace is not None:
-        objective_trace.append(best)
     warm: list[np.ndarray] | None = None
     converged = False
     iterations = 0
@@ -357,15 +351,13 @@ def ree_upper_bound(
         atom = ProductStateAnsatz(factors=tuple(factors)).vector()
         pi = np.outer(atom, atom.conj())
         gap = float(np.real(np.trace(grad @ (pi - sigma))))
-        if gap < cfg.tol:
+        if gap < _FW_GAP_TOL:
             converged = True
             break
         gamma = 2.0 / (t + 2.0)
         sigma = (1.0 - gamma) * sigma + gamma * pi
         objective, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
         best = min(best, objective)
-        if objective_trace is not None:
-            objective_trace.append(best)
     return EntanglementEstimate(
         lower=0.0,
         upper=max(best, 0.0),

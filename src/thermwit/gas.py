@@ -36,7 +36,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 class GasState:
     """Resolved single-temperature state of an ideal gas."""
 
-    spectrum: ModeSpectrum
     T: float
     mu: float
     occupations: np.ndarray
@@ -111,7 +110,6 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
     # relative floor: near bose condensation dN/dmu ~ N^2/T, so the absolute
     # target is unreachable in float64 for large N; 1e-11 relative still is
     done = lambda n: abs(n - n_target) <= max(MU_SOLVE_TOL, 1e-11 * n_target)
-    mu = 0.5 * (lo + hi)
     for _ in range(500):
         mu = 0.5 * (lo + hi)
         n = total(mu)
@@ -123,12 +121,10 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
             hi = mu
         if hi - lo <= 4 * np.finfo(float).eps * abs(mu):  # relative: |mu| may be << 1
             break
-    if not done(total(mu)):
-        raise RuntimeError(
-            f"chemical-potential solve did not converge: residual "
-            f"{total(mu) - n_target:.3e} at mu={mu!r}"
-        )
-    return mu
+    # the last mu tried was not done, or the loop would have returned it
+    raise RuntimeError(
+        f"chemical-potential solve did not converge: residual {n - n_target:.3e} at mu={mu!r}"
+    )
 
 
 def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
@@ -142,7 +138,6 @@ def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
     n = occupation(spectrum.frequencies, mu, T, spectrum.statistics)
     n = np.atleast_1d(n)
     state = GasState(
-        spectrum=spectrum,
         T=float(T),
         mu=mu,
         occupations=n,
@@ -173,27 +168,22 @@ def _entropy_from_occupations(n: np.ndarray, statistics: str) -> float:
         sub = npos < 1.0
         s = -np.sum(npos * np.log(npos))
         s -= np.sum((1.0 - npos[sub]) * np.log1p(-npos[sub]))
-    elif statistics == "boltzmann":
+    else:  # boltzmann; ModeSpectrum admits no other statistics
         s = np.sum(npos * (1.0 - np.log(npos)))
-    else:
-        raise ValueError(f"unknown statistics {statistics!r}")
     return float(s)
 
 
 def _free_energy(freqs: np.ndarray, mu: float, T: float, statistics: str) -> float:
     # Grand potential: bose +T sum ln(1 - e^(-x)), fermi -T sum ln(1 + e^(-x)),
-    # boltzmann -T sum e^(-x), with x = (omega - mu)/T.
+    # boltzmann -T sum e^(-x), with x = (omega - mu)/T; gas_state's occupation
+    # call has already rejected a bose mu at or above the lowest frequency.
     x = (np.asarray(freqs, dtype=np.float64) - mu) / T
     if statistics == "bose":
-        if np.any(x <= 0):
-            raise ValueError("bose free energy requires mu < min omega")
         return float(T * np.sum(np.log1p(-np.exp(-x))))
     if statistics == "fermi":
         softplus = np.where(x < 0, -x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
         return float(-T * np.sum(softplus))
-    if statistics == "boltzmann":
-        return float(-T * np.sum(np.exp(-x)))
-    raise ValueError(f"unknown statistics {statistics!r}")
+    return float(-T * np.sum(np.exp(-x)))
 
 
 def default_fit_window(spectrum: ModeSpectrum) -> tuple[float, float]:

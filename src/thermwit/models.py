@@ -121,10 +121,6 @@ class ModeSpectrum:
             )
         object.__setattr__(self, "frequencies", freqs)
 
-    @property
-    def n_modes(self) -> int:
-        return int(self.frequencies.size)
-
 
 def chain_bonds(n_sites: int, boundary: str) -> list[tuple[int, int]]:
     """Nearest-neighbour bond list; periodic adds the wrap-around bond."""
@@ -156,16 +152,23 @@ def _amplitudes(spec: SpinModelSpec) -> dict[int, np.ndarray]:
     Site 0 is the most significant bit; a term flips the bits of its X and Y
     sites with amplitude coeff * i**(#Y) * (-1)**(set bits of s on its Y and
     Z sites). A flip's terms are added to zero in order, as a Kronecker sum
-    adds them, so every entry equals that sum bit for bit."""
+    adds them, so every entry equals that sum bit for bit. Finite terms whose
+    sum overflows are a ``ValueError``."""
     n = spec.n_sites
     states = np.arange(2 ** n)
     popcount = sum((states >> bit) & 1 for bit in range(n))
     table = {}
-    for sites, labels, coeff in pauli_terms(spec):
-        flip, signs = (sum(1 << (n - 1 - site) for site, label in zip(sites, labels)
-                           if label in axes) for axes in ("XY", "YZ"))
-        amp = coeff * 1j ** labels.count("Y") * np.where(popcount[states & signs] % 2, -1.0, 1.0)
-        table[flip] = table.get(flip, 0) + amp
+    with np.errstate(over="ignore"):  # counted and rejected below
+        for sites, labels, coeff in pauli_terms(spec):
+            flip, signs = (sum(1 << (n - 1 - site) for site, label in zip(sites, labels)
+                               if label in axes) for axes in ("XY", "YZ"))
+            amp = (coeff * 1j ** labels.count("Y")
+                   * np.where(popcount[states & signs] % 2, -1.0, 1.0))
+            table[flip] = table.get(flip, 0) + amp
+    bad = sum(amp.size - np.count_nonzero(np.isfinite(amp)) for amp in table.values())
+    if bad:
+        raise ValueError(
+            f"the Hamiltonian has {bad} non-finite entries: its terms overflow when summed")
     return table
 
 

@@ -56,10 +56,10 @@ def _boltzmann(levels: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
     full = positive.all(axis=1)
     x = probs if full.all() else probs[full]
     s = np.empty(temps.size)
-    s[full] = -np.sum(x * np.log(x), axis=1)
+    s[full] = 0.0 - np.sum(x * np.log(x), axis=1)  # +0.0, not -0.0, for a pure state
     for i in np.flatnonzero(~full):
         nz = probs[i][positive[i]]
-        s[i] = -np.sum(nz * np.log(nz))
+        s[i] = 0.0 - np.sum(nz * np.log(nz))
     return probs, sw, s
 
 

@@ -31,6 +31,10 @@ GUARD = 1e-12
 #: Upper-temperature ceiling for automatic bracket expansion.
 T_CEILING = 1e6
 
+#: Bisection width of the threshold temperatures. Each lies within half of it
+#: of its crossing, so T*_eq4 may exceed T*_eq2 by less than this.
+T_STAR_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -68,7 +72,7 @@ class SweepResult:
         if (
             self.T_star_eq2 is not None
             and self.T_star_eq4 is not None
-            and self.T_star_eq4 > self.T_star_eq2 + 1e-6
+            and self.T_star_eq4 > self.T_star_eq2 + T_STAR_TOL
         ):
             raise RuntimeError(
                 "entropy-form threshold exceeds ground-weight threshold: "
@@ -84,7 +88,8 @@ def _reports(
     threshold = e_value.lower - GUARD
     reports = []
     for t, s_t, p_t in zip(temperatures, s.tolist(), p.tolist()):
-        neg_ln_p = -math.log(p_t)  # libm log: np.log differs from it in some last bits
+        # libm log: np.log differs from it in some last bits; 0.0 - keeps p = 1 at +0.0
+        neg_ln_p = 0.0 - math.log(p_t)
         reports.append(WitnessReport(
             T=float(t),
             S=s_t,
@@ -117,7 +122,7 @@ def critical_temperature(
     kind: str,
     e_lower: float,
     bracket: tuple[float, float] = (1e-3, 10.0),
-    tol: float = 1e-6,
+    tol: float = T_STAR_TOL,
 ) -> float | None:
     """Temperature where the monitored quantity crosses ``e_lower``.
 
@@ -164,7 +169,6 @@ def sweep(
     t_grid: Sequence[float],
     *,
     fw_config: FrankWolfeConfig | None = None,
-    t_star_tol: float = 1e-6,
 ) -> SweepResult:
     """Witness reports over an ascending temperature grid plus thresholds.
 
@@ -173,15 +177,13 @@ def sweep(
     given, and ``EntanglementEstimate`` checks it against the lower one. The
     threshold temperatures come from ``critical_temperature`` bracketed by
     the grid ends (upper end auto-expanded), so their accuracy is
-    ``t_star_tol`` regardless of grid density.
+    ``T_STAR_TOL`` regardless of grid density.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("temperature grid must be nonempty")
     if not all(0 < t < math.inf for t in grid):
         raise ValueError("temperatures must be finite and positive")
-    if not 0 < t_star_tol < math.inf:
-        raise ValueError(f"t_star_tol must be finite and positive, got {t_star_tol}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be strictly ascending")
     psi = ground_state(spectral)
@@ -191,7 +193,7 @@ def sweep(
     reports = _reports(spectral, grid, est)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
     t_star_eq2, t_star_eq4 = (
-        critical_temperature(spectral, kind, est.lower, bracket, t_star_tol)
+        critical_temperature(spectral, kind, est.lower, bracket)
         for kind in ("eq2", "eq4")
     )
     return SweepResult(reports=reports, T_star_eq2=t_star_eq2, T_star_eq4=t_star_eq4)

@@ -216,7 +216,7 @@ def test_criterion_07_classical_gas_never_detected():
 
 
 def test_criterion_08_ree_sandwich():
-    cfg = tw.FrankWolfeConfig(max_iter=200, restarts=3, tol=1e-4)
+    cfg = tw.FrankWolfeConfig(max_iter=200, restarts=3)
     rng = np.random.default_rng(108)
     states = [("bell", bell_pure()), ("ghz", ghz_pure()), ("w", w_pure())]
     states += [(f"rand{k}", random_pure(rng, (2, 2))) for k in range(20)]

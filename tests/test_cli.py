@@ -10,6 +10,7 @@ import pytest
 
 from thermwit import SpinModelSpec, cli, models
 from thermwit.models import build_spin_hamiltonian, spin_spectrum
+from thermwit.witness import T_STAR_TOL
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -49,7 +50,7 @@ def test_parse_temps_linear_and_log():
 
 def test_parse_temps_rejects_garbage():
     for bad in ("1:2", "0:2:5", "2:1:5", "1:2:0", "1:2:3:cubic",
-                "nan:1:3", "0.5:nan:3:log", "1:inf:3"):
+                "nan:1:3", "0.5:nan:3:log", "1:inf:3", "a:2:3", "1:2:2.5"):
         with pytest.raises(ValueError):
             parse_temps(bad)
 
@@ -137,6 +138,19 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
         model = write_model(tmp_path, payload)
         assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
         assert "invalid model" in capsys.readouterr().err
+    for text, message in (("[1, 2]", "must hold a JSON object"),
+                          ('{"n_sites": 2}', "needs 'kind' and 'n_sites'")):
+        (tmp_path / "model.json").write_text(text)
+        assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert main(["energy-witness", "--model", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+    assert "model file not found" in capsys.readouterr().err
+    for payload, message in (({"frequencies": [1.0]}, "needs 'frequencies' and 'statistics'"),
+                             ({"frequencies": [], "statistics": "bose", "particle_target": 1.0},
+                              "invalid spectrum")):
+        spectrum = write_model(tmp_path, payload, "spectrum.json")
+        assert main(["gas-scan", "--spectrum", spectrum, "--temps", "1:2:8"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
     assert main(["ree", "--model", str(tmp_path)]) == EXIT_CONFIG
     assert "cannot read model file" in capsys.readouterr().err
     assert main(["gas-scan", "--spectrum", str(tmp_path), "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -154,16 +168,9 @@ def test_bad_tstar_tol_or_restarts_exits_2(tmp_path, capsys):
     gas = ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
            "--fit-window", "0.05:0.3"]
     for argv, message in (
-        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "0", *model], "t_star_tol must be"),
-        (["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "nan", *model], "t_star_tol must be"),
         (["ree", "--restarts", "0", *model], "restarts must be at least 1"),
         (["energy-witness", "--restarts", "0", *model], "restarts must be at least 1"),
-        (["ree", "--tol", "nan", *model], "tol must be finite and positive"),
-        (["ree", "--tol", "-1", *model], "tol must be finite and positive"),
-        (["ree", "--tol", "inf", *model], "tol must be finite and positive"),
         (["ree", "--max-iter", "-3", *model], "max_iter must be nonnegative"),
-        (["spin-sweep", "--temps", "1:2:2", "--upper", "--tol", "0", *model],
-         "tol must be finite and positive"),
         ([*gas, "--energy-per-particle=nan"], "energy_per_particle must be finite and positive"),
         ([*gas, "--energy-per-particle=inf"], "energy_per_particle must be finite and positive"),
         ([*gas, "--energy-per-particle=0"], "energy_per_particle must be finite and positive"),
@@ -172,23 +179,69 @@ def test_bad_tstar_tol_or_restarts_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+    # the bisection width and the Frank-Wolfe gap tolerance are constants,
+    # not flags: argparse rejects them
+    for argv in (
+        ["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "0", *model],
+        ["spin-sweep", "--temps", "1:2:2", "--tstar-tol", "nan", *model],
+        ["ree", "--tol", "nan", *model],
+        ["ree", "--tol", "-1", *model],
+        ["ree", "--tol", "inf", *model],
+        ["spin-sweep", "--temps", "1:2:2", "--upper", "--tol", "0", *model],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+def test_close_thresholds_sweep_exits_0(tmp_path, capsys):
+    # a weakly coupled pair whose thresholds the sweep bisects to T_STAR_TOL,
+    # the slack of its order check; a coarser width could order them wrongly
+    model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2, "custom_terms": [
+        [[0], "Z", 1.0], [[1], "Z", 1.0], [[0, 1], "XX", 0.02]]})
+    assert main(["spin-sweep", "--model", model, "--temps", "0.025:0.22:2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    t_star_eq2, t_star_eq4 = (float(line.split(",")[1]) for line in lines[-2:])
+    assert 0.025 < t_star_eq4 < t_star_eq2
 
 
 def test_overflowing_terms_exit_2_before_any_eigensolver(tmp_path, capsys, monkeypatch):
-    # finite coefficients whose sum overflows: the block check names the
-    # non-finite entries instead of an eigensolver failing on them
-    model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2, "custom_terms": [
-        [[0], "Z", 1e308], [[0], "Z", 1e308], [[0, 1], "XX", 1.0]]})
-
+    # finite coefficients whose sum overflows: the table names the non-finite
+    # entries, with no numpy warning and before any eigensolver or the Y gauge
+    # sees them (the suite turns a RuntimeWarning into an error)
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called on a non-finite matrix")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    for command in (["spin-sweep", "--temps", "1:2:2"], ["ree"], ["energy-witness"]):
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    for field in "ZY":
+        model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2, "custom_terms": [
+            [[0], field, 1e308], [[0], field, 1e308], [[0, 1], "XX", 1.0]]})
+        for command in (["spin-sweep", "--temps", "1:2:2"], ["ree"], ["energy-witness"]):
             assert main(command + ["--model", model]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "non-finite entries" in err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("config error: ") and "non-finite entries" in lines[0]
+
+
+def test_zero_entropy_prints_no_negative_zero(tmp_path, capsys):
+    # at T = 0.004 the 2-site Heisenberg state is pure to double precision:
+    # S = 0 and p = 1, so -ln p = 0; neither may print as -0
+    model = write_model(tmp_path, HEIS2)
+    assert main(["spin-sweep", "--model", model, "--temps", "0.004:0.01:2"]) == EXIT_OK
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+    assert rows[1][:4] == ["0.004", "0", "1", "0"]
+    assert rows[2][0] == "0.01" and float(rows[2][1]) > 0 and rows[2][2:4] == ["1", "0"]
+    assert main(["spin-sweep", "--model", model, "--temps", "0.004:0.01:2",
+                 "--format", "json"]) == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    for key in ("S", "neg_ln_p"):
+        assert math.copysign(1.0, reports[0][key]) == 1.0
+    assert math.copysign(1.0, reports[1]["neg_ln_p"]) == 1.0
 
 
 def test_unknown_model_key_exits_2(tmp_path, capsys):
@@ -291,6 +344,19 @@ def test_bad_generator_spec_exits_2(capsys):
     code = main(["gas-scan", "--spectrum", "gen:uniform:wavelength=2",
                  "--temps", "0.1:1:10"])
     assert code == EXIT_CONFIG
+    for spec, message in (
+        ("gen:uniform", "bad generator spec"),
+        ("gen:uniform:n_modes", "bad generator parameter"),
+        ("gen:cubic:n_modes=4,omega=1.0,statistics=bose,chemical_potential=0.0",
+         "invalid spectrum spec"),
+    ):
+        assert main(["gas-scan", "--spectrum", spec, "--temps", "0.1:1:10"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    for window in ("0.05", "a:0.3"):
+        argv = ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
+                "--fit-window", window]
+        assert main(argv) == EXIT_CONFIG
+        assert "bad --fit-window" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +546,7 @@ def test_real_frame_sweep_independent_of_blas_threads(tmp_path):
         assert (a["eq2_fires"], a["eq4_fires"]) == (b["eq2_fires"], b["eq4_fires"])
     for key in ("T_star_eq2", "T_star_eq4"):
         assert (one[key] is None) == (two[key] is None)
-        assert one[key] is None or abs(one[key] - two[key]) <= 1e-6  # the default --tstar-tol
+        assert one[key] is None or abs(one[key] - two[key]) <= T_STAR_TOL
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

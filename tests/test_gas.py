@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from thermwit import cli, gas
 from thermwit import (
     ModeSpectrum,
     critical_temperature_estimate,
@@ -61,6 +62,8 @@ def test_boltzmann_occupation():
 def test_bose_divergence_guarded():
     with pytest.raises(ValueError, match="mu < omega"):
         occupation(1.0, 1.0, 1.0, "bose")
+    with pytest.raises(ValueError, match="unknown statistics"):
+        occupation(1.0, 0.0, 1.0, "anyon")
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +106,29 @@ def test_boltzmann_mu_closed_form():
     sp = ModeSpectrum([1.0, 2.0, 3.0], statistics="boltzmann", particle_target=2.0)
     st = gas_state(sp, 1.7)
     assert st.N_actual == pytest.approx(2.0, abs=1e-12)
+    # near 1e12 the float spacing of mu (1.2e-4) moves N by 1e-5 relative
+    far = ModeSpectrum([1e12, 1e12 + 1.0], statistics="boltzmann", particle_target=1.0)
+    with pytest.raises(RuntimeError, match="occupancy target missed"):
+        gas_state(far, 1.0)
 
 
 def test_fermi_pauli_bound():
     with pytest.raises(ValueError, match="Pauli"):
         solve_mu(fermi4(2.0), 4.0, 1.0)
+
+
+def test_unreachable_target_is_a_numerical_failure(monkeypatch, capsys):
+    # every occupation jumps from 0 to 1 at mu = 1.5, so the sum over the 4
+    # modes skips the target 2 and the bisection closes on the step unmet
+    def step(omega, mu, T, statistics):
+        return np.full(np.shape(omega), 1.0 if mu > 1.5 else 0.0)
+
+    monkeypatch.setattr(gas, "occupation", step)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_mu(fermi4(2.0), 2.0, 1.0)
+    spec = "gen:uniform:n_modes=4,omega=1.0,statistics=fermi,particle_target=2.0"
+    assert cli.main(["gas-scan", "--spectrum", spec, "--temps", "0.1:1:10"]) == cli.EXIT_NUMERICAL
+    assert "numerical failure: chemical-potential solve" in capsys.readouterr().err
 
 
 def test_targeted_states_hit_the_target():
@@ -300,6 +321,9 @@ def test_mb_refuses_quantum_regime():
                        particle_target=4.0)
     with pytest.raises(ValueError, match="quantum-statistics"):
         mb_witness_check(sp, 4.0, 0.5)
+    for n in (0.0, -4.0):
+        with pytest.raises(ValueError, match="n_particles must be positive"):
+            mb_witness_check(sp, n, 2.0)
 
 
 def test_rejects_temperature_not_finite_and_positive():

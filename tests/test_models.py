@@ -341,6 +341,14 @@ def test_spec_rejects_bad_inputs():
         SpinModelSpec(kind="transverse_ising", n_sites=3, field=math.inf)
     with pytest.raises(ValueError, match="finite"):
         SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "X", math.nan),))
+    with pytest.raises(ValueError, match="nonempty custom_terms"):
+        SpinModelSpec(kind="custom_terms", n_sites=2)
+    with pytest.raises(ValueError, match="do not match"):
+        SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0, 1), "X", 1.0),))
+    with pytest.raises(ValueError, match="repeated site"):
+        SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0, 0), "XX", 1.0),))
+    with pytest.raises(ValueError, match="only allowed"):
+        SpinModelSpec(kind="heisenberg", n_sites=2, custom_terms=(((0,), "X", 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +398,11 @@ def test_spectrum_rejects_bad_inputs():
                       chemical_potential=math.nan)
     with pytest.raises(ValueError, match="unknown spectrum kind"):  # use ModeSpectrum
         make_spectrum("custom", statistics="bose", chemical_potential=0.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        ModeSpectrum([], statistics="bose", chemical_potential=-1.0)
+    with pytest.raises(ValueError, match="particle_target must be positive"):
+        make_spectrum("uniform", n_modes=2, omega=1.0, statistics="fermi", particle_target=0.0)
+    with pytest.raises(ValueError, match="needs n_modes and omega"):
+        make_spectrum("uniform", n_modes=2, statistics="bose", chemical_potential=0.0)
+    with pytest.raises(ValueError, match="needs n_modes and velocity"):
+        make_spectrum("linear_dispersion", n_modes=2, statistics="bose", chemical_potential=0.0)

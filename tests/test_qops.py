@@ -46,6 +46,10 @@ def test_rejects_non_hermitian():
 def test_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         op(np.eye(4), (2,))
+    with pytest.raises(ValueError, match="at least one site"):
+        op(np.eye(1), ())
+    with pytest.raises(ValueError, match="must be >= 2"):
+        op(np.eye(1), (1,))
 
 
 def test_rejects_cap_exceeded():
@@ -78,6 +82,8 @@ def test_density_rejects_bad_trace_and_negativity():
 def test_pure_state_norm_enforced():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0, 1.0]), (2,))
+    with pytest.raises(ValueError, match="does not match dims"):
+        PureState(np.array([1.0, 0.0, 0.0]), (2,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,11 +1,16 @@
-"""README's library example runs as printed and prints the values its comments state."""
+"""README's library example runs as printed and prints the values its comments
+state, and its flag table lists exactly the parser's flags and defaults."""
 
+import argparse
+import ast
 import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from thermwit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +26,36 @@ def test_readme_library_example_prints_its_stated_thresholds(tmp_path):
     assert done.returncode == 0, done.stderr
     printed = [float(line) for line in done.stdout.split()]
     assert [round(value, 4) for value in printed] == stated
+
+
+#: A backticked flag with an optional metavar, then an optional "(default)".
+FLAG = re.compile(r"`(--[a-z-]+)( [^`]*)?`(?: \((?:default )?([^)]*)\))?")
+
+
+def _shown(cell: str) -> dict:
+    """{flag: (metavar, shown default)} of one README flag list."""
+    return {flag: (metavar.strip(), default) for flag, metavar, default
+            in FLAG.findall(" ".join(cell.split()))}
+
+
+def test_readme_flag_table_matches_the_parser():
+    text = (ROOT / "README.md").read_text()
+    table = {name: _shown(cell)
+             for name, cell in re.findall(r"^\| `([a-z-]+)` \| (`--.*) \|$", text, re.M)}
+    common_for, common = re.search(
+        r"Flags of every data subcommand \((.*?)\):(.*?)\. Per subcommand", text, re.S).groups()
+    common_for = re.findall(r"`([a-z-]+)`", common_for)
+    common = _shown(common)
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert set(table) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        actions = {a.option_strings[-1]: a for a in sub._actions if a.dest != "help"}
+        shown = {**table[name], **(common if name in common_for else {})}
+        assert set(shown) == set(actions), name
+        for flag, (metavar, default) in shown.items():
+            if default:
+                value = None if default == "stdout" else ast.literal_eval(default)
+                assert actions[flag].default == value, (name, flag)
+            if "|" in metavar:
+                assert tuple(metavar.split("|")) == actions[flag].choices, (name, flag)

@@ -56,6 +56,8 @@ def test_low_temperature_third_law_limit():
     ens = thermal_ensemble(eig_hermitian(heis2()), 1e-6)
     assert ens.S <= 1e-6
     assert ens.p >= 1 - 1e-6
+    assert ens.log_Z == pytest.approx(3e6, rel=1e-12)  # E0 = -3
+    assert ens.Z == math.inf  # exp(log_Z) overflows; log_Z is the stored quantity
 
 
 def test_rho_t_is_valid_state_and_commutes():
@@ -263,6 +265,7 @@ def test_grid_scalars_equal_one_point_evaluation(levels, width, ground_copies, l
     for t, s_t, p_t in zip(temps, s.tolist(), p.tolist()):
         reference = point_canonical(energies, t)
         assert (s_t, p_t) == (reference["S"], reference["p"])
+        assert math.copysign(1.0, s_t) > 0  # a pure state's S is +0.0, never -0.0
         assert vars(canonical_scalars(energies, t)) == reference
 
 

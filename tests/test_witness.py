@@ -20,7 +20,7 @@ from thermwit import (
     sweep,
     thermal_ensemble,
 )
-from thermwit.witness import WitnessReport
+from thermwit.witness import T_CEILING, T_STAR_TOL, SweepResult, WitnessReport
 from conftest import LN2, heis2_closed_form, point_report, point_threshold
 
 # frozen pre-build oracle values (bisection on closed-form entropies)
@@ -78,6 +78,15 @@ def test_report_rejects_implication_violation():
             T=1.0, S=0.1, p=0.99, neg_ln_p=0.2, E_lower=0.15, E_upper=None,
             eq2_fires=False, eq4_fires=True, ground_degeneracy=1,
         )
+    with pytest.raises(RuntimeError, match="exceeds S"):
+        WitnessReport(
+            T=1.0, S=0.1, p=0.8, neg_ln_p=0.2, E_lower=0.05, E_upper=None,
+            eq2_fires=False, eq4_fires=False, ground_degeneracy=1,
+        )
+    # the thresholds are bisected to T_STAR_TOL, so the order check allows that much
+    SweepResult(reports=(), T_star_eq2=1.0, T_star_eq4=1.0 + 0.5 * T_STAR_TOL)
+    with pytest.raises(RuntimeError, match="entropy-form threshold exceeds"):
+        SweepResult(reports=(), T_star_eq2=1.0, T_star_eq4=1.0 + 2 * T_STAR_TOL)
 
 
 def test_evaluate_rejects_nonpositive_temperature():
@@ -128,6 +137,9 @@ def test_threshold_expands_bracket_upward():
         eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.1, 0.2), tol=1e-6
     )
     assert t_star == pytest.approx(HEIS2_T_STAR_EQ2, abs=1e-3)
+    # -ln p(T) stays below ln 4 < 2 at every T, so the expansion gives up at T_CEILING
+    assert critical_temperature(eig_hermitian(heis(2)), "eq2", 2.0) is None
+    assert -math.log(thermal_ensemble(eig_hermitian(heis(2)), T_CEILING).p) < 2.0
 
 
 def test_threshold_rejects_bad_inputs():
@@ -187,9 +199,6 @@ def test_sweep_grid_validation():
     for bad in ([-1.0, 1.0], [0.5, math.nan], [0.5, math.inf]):
         with pytest.raises(ValueError, match="positive"):
             sweep(eig_hermitian(heis(2)), bad)
-    for tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="t_star_tol must be finite and positive"):
-            sweep(eig_hermitian(heis(2)), [1.0], t_star_tol=tol)
 
 
 # ---------------------------------------------------------------------------
