@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,7 +37,7 @@ EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
 #: What a data subcommand returns: the JSON body and the CSV rows (header first).
-Payload = tuple[dict, list[list]]
+Payload = tuple[dict, list[Sequence]]
 
 
 class ConfigError(ValueError):
@@ -146,7 +147,10 @@ def load_spectrum(spec: str) -> ModeSpectrum:
             key = key.strip()
             if key not in _GEN_PARAMS:
                 raise ConfigError(f"unknown generator parameter {key!r} in {spec!r}")
-            kwargs[key] = _GEN_PARAMS[key](value)
+            try:
+                kwargs[key] = _GEN_PARAMS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad generator value {item!r} in {spec!r}: {exc}") from exc
         try:
             return make_spectrum(parts[1], **kwargs)
         except (TypeError, ValueError) as exc:
@@ -199,15 +203,12 @@ def run_spin_sweep(args: argparse.Namespace) -> Payload:
     body = {
         "command": "spin-sweep",
         "seed": args.seed,
-        "reports": [vars(r) for r in result.reports],  # every WitnessReport field, in order
+        "reports": [r._asdict() for r in result.reports],
         "T_star_eq2": result.T_star_eq2,
         "T_star_eq4": result.T_star_eq4,
     }
-    rows = [["T", "S", "p", "neg_ln_p", "E_lower", "E_upper", "eq2_fires", "eq4_fires"]]
-    rows += (
-        [r.T, r.S, r.p, r.neg_ln_p, r.E_lower, r.E_upper, r.eq2_fires, r.eq4_fires]
-        for r in result.reports
-    )
+    # CSV rows leave out the last field, ground_degeneracy
+    rows = [witness.WitnessReport._fields[:-1], *(r[:-1] for r in result.reports)]
     rows += [["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]
     return body, rows
 
@@ -222,6 +223,8 @@ def run_gas_scan(args: argparse.Namespace) -> Payload:
             lo, hi = (float(v) for v in args.fit_window.split(":"))
         except ValueError as exc:
             raise ConfigError(f"bad --fit-window {args.fit_window!r}; expected lo:hi") from exc
+        if not 0 < lo < hi < math.inf:  # also false for NaN
+            raise ConfigError(f"bad --fit-window {args.fit_window!r}: need finite 0 < lo < hi")
     else:
         lo, hi = gas.default_fit_window(spectrum)
     in_window = [t for t in grid if lo <= t <= hi]
@@ -277,15 +280,15 @@ def _record(args: argparse.Namespace, **fields) -> Payload:
 def run_ree(args: argparse.Namespace) -> Payload:
     spectral = spin_spectrum(load_model(args.model))
     psi = ground_state(spectral)
-    lower = ree_lower_bound(psi)
     upper = ree_upper_bound(psi.to_density(), _fw_config(args, "ree-fw", restarts=args.restarts))
+    est = replace(ree_lower_bound(psi), upper=upper.upper)  # checks lower <= upper
     return _record(
         args,
         E0=float(spectral.eigenvalues[0]),
         ground_degeneracy=spectral.ground_degeneracy,
-        E_lower=lower.lower,
-        lower_method=lower.method,
-        E_upper=upper.upper,
+        E_lower=est.lower,
+        lower_method=est.method,
+        E_upper=est.upper,
         upper_iterations=upper.iterations,
         upper_converged=upper.converged,
     )
@@ -363,7 +366,7 @@ def _selfcheck_properties(seed: int):
 
     # Witness implication chain on real model sweeps: a firing 2-site chain
     # and a degenerate-ground 3-site chain that must stay silent. A violation
-    # raises in WitnessReport, so what is left to check is that it fired.
+    # raises in SweepResult, so what is left to check is that it fired.
     fired = 0
     points = 0
     for n_sites in (2, 3):

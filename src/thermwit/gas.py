@@ -90,7 +90,8 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
 
     Bisection on the strictly increasing map mu -> sum_i n_i(mu). For
     fermions the Pauli bound requires n_target < number of modes; bosons are
-    bracketed strictly below the lowest frequency.
+    bracketed strictly below the lowest frequency. Raises RuntimeError when
+    the mu it finds misses the target.
     """
     freqs = spectrum.frequencies
     stats = spectrum.statistics
@@ -102,7 +103,11 @@ def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
         # sum_i e^{-(w_i - mu)/T} = N is exponential in mu: solve exactly
         # (log-sum-exp shifted by the lowest frequency).
         shifted = float(np.sum(np.exp(-(freqs - freqs[0]) / T)))
-        return float(freqs[0] + T * (math.log(n_target) - math.log(shifted)))
+        mu = float(freqs[0] + T * (math.log(n_target) - math.log(shifted)))
+        n = float(np.sum(occupation(freqs, mu, T, stats)))
+        if abs(n - n_target) > max(1e-8, 1e-10 * n_target):
+            raise RuntimeError(f"occupancy target missed: {n} vs {n_target}")
+        return mu
     w_max = float(freqs[-1])
     lo = -1e6 * w_max
     hi = float(freqs[0]) - 1e-12 if stats == "bose" else 1e6 * w_max
@@ -136,8 +141,7 @@ def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
     else:
         mu = solve_mu(spectrum, spectrum.particle_target, T)
     n = occupation(spectrum.frequencies, mu, T, spectrum.statistics)
-    n = np.atleast_1d(n)
-    state = GasState(
+    return GasState(
         T=float(T),
         mu=mu,
         occupations=n,
@@ -145,13 +149,6 @@ def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
         F=_free_energy(spectrum.frequencies, mu, T, spectrum.statistics),
         N_actual=float(np.sum(n)),
     )
-    if spectrum.particle_target is not None:
-        target = spectrum.particle_target
-        if abs(state.N_actual - target) > max(1e-8, 1e-10 * target):
-            raise RuntimeError(
-                f"occupancy target missed: {state.N_actual} vs {target}"
-            )
-    return state
 
 
 def _entropy_from_occupations(n: np.ndarray, statistics: str) -> float:

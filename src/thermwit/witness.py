@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
 from .models import ground_state
@@ -36,8 +36,7 @@ T_CEILING = 1e6
 T_STAR_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Per-temperature verdicts of both witness inequalities."""
 
     T: float
@@ -50,25 +49,25 @@ class WitnessReport:
     eq4_fires: bool
     ground_degeneracy: int
 
-    def __post_init__(self) -> None:
-        if self.eq4_fires and not self.eq2_fires:
-            raise RuntimeError(
-                f"witness implication violated at T={self.T}: "
-                "entropy form fired without the ground-weight form"
-            )
-        if self.neg_ln_p > self.S + 1e-9:
-            raise RuntimeError(
-                f"-ln p = {self.neg_ln_p} exceeds S = {self.S} at T={self.T}"
-            )
-
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Witness reports of a grid plus thresholds. Construction checks every
+    row (-ln p <= S, eq4 => eq2) and the order of the thresholds."""
+
     reports: tuple[WitnessReport, ...]
     T_star_eq2: float | None
     T_star_eq4: float | None
 
     def __post_init__(self) -> None:
+        for r in self.reports:
+            if r.eq4_fires and not r.eq2_fires:
+                raise RuntimeError(
+                    f"witness implication violated at T={r.T}: "
+                    "entropy form fired without the ground-weight form"
+                )
+            if r.neg_ln_p > r.S + 1e-9:
+                raise RuntimeError(f"-ln p = {r.neg_ln_p} exceeds S = {r.S} at T={r.T}")
         if (
             self.T_star_eq2 is not None
             and self.T_star_eq4 is not None
@@ -114,7 +113,7 @@ def evaluate_witness(
     Hamiltonian (use ``ree_lower_bound`` on it); any smaller value keeps the
     verdicts sound.
     """
-    return _reports(spectral, [temperature], e_value)[0]
+    return SweepResult(_reports(spectral, [temperature], e_value), None, None).reports[0]
 
 
 def critical_temperature(

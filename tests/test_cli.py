@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thermwit import SpinModelSpec, cli, models
+from thermwit.ent import EntanglementEstimate
 from thermwit.models import build_spin_hamiltonian, spin_spectrum
 from thermwit.witness import T_STAR_TOL
 from thermwit.cli import (
@@ -349,12 +350,17 @@ def test_bad_generator_spec_exits_2(capsys):
         ("gen:uniform:n_modes", "bad generator parameter"),
         ("gen:cubic:n_modes=4,omega=1.0,statistics=bose,chemical_potential=0.0",
          "invalid spectrum spec"),
+        ("gen:uniform:n_modes=2.5,omega=1.0,statistics=bose,chemical_potential=0.0",
+         "bad generator value 'n_modes=2.5' in 'gen:uniform:n_modes=2.5,"),
+        ("gen:uniform:n_modes=4,omega=abc,statistics=bose,chemical_potential=0.0",
+         "bad generator value 'omega=abc' in 'gen:uniform:n_modes=4,"),
     ):
         assert main(["gas-scan", "--spectrum", spec, "--temps", "0.1:1:10"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
-    for window in ("0.05", "a:0.3"):
+    # a window must be finite with 0 < lo < hi, as --temps must ("=" lets -1 through)
+    for window in ("0.05", "a:0.3", "nan:1", "inf:inf", "0.3:0.05", "-1:0.2"):
         argv = ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
-                "--fit-window", window]
+                f"--fit-window={window}"]
         assert main(argv) == EXIT_CONFIG
         assert "bad --fit-window" in capsys.readouterr().err
 
@@ -373,6 +379,16 @@ def test_ree_command(tmp_path):
     assert payload["E_lower"] == pytest.approx(math.log(2), abs=1e-9)
     assert payload["E_upper"] == pytest.approx(math.log(2), abs=2e-2)
     assert payload["lower_method"] == "pure_bipartite_exact"
+
+
+def test_ree_refuses_a_lower_bound_above_the_upper(tmp_path, monkeypatch, capsys):
+    # E_lower of the singlet is ln 2 ~ 0.693; an upper bound of 0.5 breaks the sandwich
+    broken = EntanglementEstimate(lower=0.0, upper=0.5, method="frank_wolfe_upper",
+                                  iterations=1, converged=True)
+    monkeypatch.setattr(cli, "ree_upper_bound", lambda rho, config: broken)
+    code = main(["ree", "--model", write_model(tmp_path, HEIS2)])
+    assert code == EXIT_NUMERICAL
+    assert "exceeds upper bound" in capsys.readouterr().err
 
 
 def test_energy_witness_command(tmp_path):

@@ -1,5 +1,6 @@
 """README's library example runs as printed and prints the values its comments
-state, and its flag table lists exactly the parser's flags and defaults."""
+state, its flag table lists exactly the parser's flags and defaults, and its
+CSV headers are the ones the commands print."""
 
 import argparse
 import ast
@@ -59,3 +60,14 @@ def test_readme_flag_table_matches_the_parser():
                 assert actions[flag].default == value, (name, flag)
             if "|" in metavar:
                 assert tuple(metavar.split("|")) == actions[flag].choices, (name, flag)
+
+
+def test_readme_output_headers_match_the_goldens():
+    text = (ROOT / "README.md").read_text()
+    schemas = text[text.index("### Output schemas"):]
+    (sweep_header,) = re.findall(r"```\n(T,S,.*)\n```", schemas)
+    (gas_header,) = re.findall(r"`gas-scan` rows are `([^`]*)`", schemas)
+    golden = ROOT / "tests" / "golden"
+    for shown, name in ((sweep_header, "spin_sweep_heis4_ring.csv"),
+                        (gas_header, "gas_scan_gen.csv")):
+        assert shown == (golden / name).read_text().split("\n", 1)[0], name

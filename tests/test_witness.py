@@ -74,15 +74,15 @@ def test_product_ground_state_never_fires():
 
 def test_report_rejects_implication_violation():
     with pytest.raises(RuntimeError, match="implication"):
-        WitnessReport(
+        SweepResult((WitnessReport(
             T=1.0, S=0.1, p=0.99, neg_ln_p=0.2, E_lower=0.15, E_upper=None,
             eq2_fires=False, eq4_fires=True, ground_degeneracy=1,
-        )
+        ),), None, None)
     with pytest.raises(RuntimeError, match="exceeds S"):
-        WitnessReport(
+        SweepResult((WitnessReport(
             T=1.0, S=0.1, p=0.8, neg_ln_p=0.2, E_lower=0.05, E_upper=None,
             eq2_fires=False, eq4_fires=False, ground_degeneracy=1,
-        )
+        ),), None, None)
     # the thresholds are bisected to T_STAR_TOL, so the order check allows that much
     SweepResult(reports=(), T_star_eq2=1.0, T_star_eq4=1.0 + 0.5 * T_STAR_TOL)
     with pytest.raises(RuntimeError, match="entropy-form threshold exceeds"):
