@@ -36,8 +36,9 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-#: What a data subcommand returns: the JSON body and the CSV rows (header first).
-Payload = tuple[dict, list[Sequence]]
+#: What a data subcommand returns: makers of its JSON body and of its CSV
+#: text, so that only the chosen format is built.
+Payload = tuple[Callable[[], dict], Callable[[], str]]
 
 
 class ConfigError(ValueError):
@@ -179,11 +180,8 @@ def _run_data(args: argparse.Namespace, run: Callable[[argparse.Namespace], Payl
     out = Path(args.out) if args.out else None
     if out and (out.is_dir() or not out.parent.is_dir()):
         raise ConfigError(f"--out {args.out} is a directory or its directory does not exist")
-    body, rows = run(args)
-    if args.format == "json":
-        text = json.dumps(body, indent=2) + "\n"
-    else:
-        text = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    body, csv = run(args)
+    text = json.dumps(body(), indent=2) + "\n" if args.format == "json" else csv()
     if out:
         out.write_text(text)
     else:
@@ -200,17 +198,28 @@ def run_spin_sweep(args: argparse.Namespace) -> Payload:
     grid = parse_temps(args.temps)
     fw = _fw_config(args, "spin-sweep-fw") if args.upper else None
     result = witness.sweep(spin_spectrum(spec), grid, fw_config=fw)
-    body = {
+    return lambda: {
         "command": "spin-sweep",
         "seed": args.seed,
         "reports": [r._asdict() for r in result.reports],
         "T_star_eq2": result.T_star_eq2,
         "T_star_eq4": result.T_star_eq4,
-    }
-    # CSV rows leave out the last field, ground_degeneracy
-    rows = [witness.WitnessReport._fields[:-1], *(r[:-1] for r in result.reports)]
-    rows += [["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]
-    return body, rows
+    }, lambda: _sweep_csv(result)
+
+
+def _sweep_csv(result: witness.SweepResult) -> str:
+    """The CSV of a sweep: one row per report without its last field,
+    ground_degeneracy, then the thresholds. Each report row is one
+    %-format over the columns; %.12g writes the bytes of ``_fmt``."""
+    row = f"%.12g,%.12g,%.12g,%.12g,{_fmt(result.E_lower)},{_fmt(result.E_upper)},%s,%s\n"
+    verdict = {False: "false", True: "true"}
+    return "".join([
+        ",".join(witness.WitnessReport._fields[:-1]) + "\n",
+        *(row % (t, s, p, q, verdict[eq2], verdict[eq4]) for t, s, p, q, eq2, eq4 in zip(
+            result.T.tolist(), result.S.tolist(), result.p.tolist(),
+            result.neg_ln_p.tolist(), result.eq2_fires.tolist(), result.eq4_fires.tolist())),
+        _csv([["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]),
+    ])
 
 
 def run_gas_scan(args: argparse.Namespace) -> Payload:
@@ -268,13 +277,22 @@ def run_gas_scan(args: argparse.Namespace) -> Payload:
             "points": len(classical_ts),
         }
         rows += [["mb_omega_tilde_g", omega_g], ["mb_fires_any", fires_any]]
-    return body, rows
+    return _payload(body, rows)
+
+
+def _csv(rows: Sequence[Sequence]) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _payload(body: dict, rows: Sequence[Sequence]) -> Payload:
+    """The payload of a body and CSV rows that are already built."""
+    return lambda: body, lambda: _csv(rows)
 
 
 def _record(args: argparse.Namespace, **fields) -> Payload:
     """Single-record payload: one CSV row under a header of the field names."""
     body = {"command": args.command, "seed": args.seed, **fields}
-    return body, [list(body), list(body.values())]
+    return _payload(body, [list(body), list(body.values())])
 
 
 def run_ree(args: argparse.Namespace) -> Payload:

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
 from .models import ground_state
@@ -37,7 +40,8 @@ T_STAR_TOL = 1e-6
 
 
 class WitnessReport(NamedTuple):
-    """Per-temperature verdicts of both witness inequalities."""
+    """Per-temperature verdicts of both witness inequalities: one row of a
+    SweepResult."""
 
     T: float
     S: float
@@ -50,24 +54,47 @@ class WitnessReport(NamedTuple):
     ground_degeneracy: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Witness reports of a grid plus thresholds. Construction checks every
-    row (-ln p <= S, eq4 => eq2) and the order of the thresholds."""
+#: The per-temperature columns of a SweepResult and their dtypes.
+_COLUMNS = {"T": np.float64, "S": np.float64, "p": np.float64, "neg_ln_p": np.float64,
+            "eq2_fires": np.bool_, "eq4_fires": np.bool_}
 
-    reports: tuple[WitnessReport, ...]
+
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Witness verdicts of a grid as read-only columns, the bounds they were
+    taken against, and the thresholds. Construction checks every row
+    (-ln p <= S, eq4 => eq2) and the order of the thresholds."""
+
+    T: np.ndarray
+    S: np.ndarray
+    p: np.ndarray
+    neg_ln_p: np.ndarray
+    eq2_fires: np.ndarray
+    eq4_fires: np.ndarray
+    E_lower: float
+    E_upper: float | None
+    ground_degeneracy: int
     T_star_eq2: float | None
     T_star_eq4: float | None
 
     def __post_init__(self) -> None:
-        for r in self.reports:
-            if r.eq4_fires and not r.eq2_fires:
+        for name, dtype in _COLUMNS.items():
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        implication = self.eq4_fires & ~self.eq2_fires
+        bad = implication | (self.neg_ln_p > self.S + 1e-9)
+        if bad.any():
+            i = int(np.argmax(bad))
+            t = float(self.T[i])
+            if implication[i]:
                 raise RuntimeError(
-                    f"witness implication violated at T={r.T}: "
+                    f"witness implication violated at T={t}: "
                     "entropy form fired without the ground-weight form"
                 )
-            if r.neg_ln_p > r.S + 1e-9:
-                raise RuntimeError(f"-ln p = {r.neg_ln_p} exceeds S = {r.S} at T={r.T}")
+            raise RuntimeError(
+                f"-ln p = {float(self.neg_ln_p[i])} exceeds S = {float(self.S[i])} at T={t}"
+            )
         if (
             self.T_star_eq2 is not None
             and self.T_star_eq4 is not None
@@ -78,29 +105,36 @@ class SweepResult:
                 f"{self.T_star_eq4} > {self.T_star_eq2}"
             )
 
+    @cached_property
+    def reports(self) -> tuple[WitnessReport, ...]:
+        """One report per grid point, built on first read."""
+        return tuple(
+            WitnessReport(t, s, p, q, self.E_lower, self.E_upper, eq2, eq4,
+                          self.ground_degeneracy)
+            for t, s, p, q, eq2, eq4 in zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        )
 
-def _reports(
-    spectral: SpectralDecomposition, temperatures: Sequence[float], e_value: EntanglementEstimate
-) -> tuple[WitnessReport, ...]:
-    """The report at each temperature, from one pass over the whole grid."""
-    s, p = entropy_and_weight(shifted_levels(spectral.eigenvalues), temperatures)
+
+def _grid_result(
+    spectral: SpectralDecomposition,
+    levels: np.ndarray,
+    temperatures: Sequence[float],
+    e_value: EntanglementEstimate,
+    t_stars: tuple[float | None, float | None] = (None, None),
+) -> SweepResult:
+    """The checked result of one pass over the whole grid; ``levels`` are
+    the shifted levels of ``spectral``."""
+    s, p = entropy_and_weight(levels, temperatures)
+    # libm log: np.log differs from it in some last bits; 0.0 - keeps p = 1 at +0.0
+    neg_ln_p = np.array([0.0 - math.log(p_t) for p_t in p.tolist()])
     threshold = e_value.lower - GUARD
-    reports = []
-    for t, s_t, p_t in zip(temperatures, s.tolist(), p.tolist()):
-        # libm log: np.log differs from it in some last bits; 0.0 - keeps p = 1 at +0.0
-        neg_ln_p = 0.0 - math.log(p_t)
-        reports.append(WitnessReport(
-            T=float(t),
-            S=s_t,
-            p=p_t,
-            neg_ln_p=neg_ln_p,
-            E_lower=float(e_value.lower),
-            E_upper=e_value.upper,
-            eq2_fires=bool(neg_ln_p < threshold),
-            eq4_fires=bool(s_t < threshold),
-            ground_degeneracy=spectral.ground_degeneracy,
-        ))
-    return tuple(reports)
+    return SweepResult(
+        T=temperatures, S=s, p=p, neg_ln_p=neg_ln_p,
+        eq2_fires=neg_ln_p < threshold, eq4_fires=s < threshold,
+        E_lower=float(e_value.lower), E_upper=e_value.upper,
+        ground_degeneracy=spectral.ground_degeneracy,
+        T_star_eq2=t_stars[0], T_star_eq4=t_stars[1],
+    )
 
 
 def evaluate_witness(
@@ -113,7 +147,30 @@ def evaluate_witness(
     Hamiltonian (use ``ree_lower_bound`` on it); any smaller value keeps the
     verdicts sound.
     """
-    return SweepResult(_reports(spectral, [temperature], e_value), None, None).reports[0]
+    levels = shifted_levels(spectral.eigenvalues)
+    return _grid_result(spectral, levels, [temperature], e_value).reports[0]
+
+
+#: Depth of the midpoint heap one bisection round evaluates: 2**5 - 1 = 31
+#: temperatures in one pass, for up to 5 bisection steps.
+_HEAP_DEPTH = 5
+
+
+def _midpoint_heap(t_lo: float, t_hi: float) -> list[float]:
+    """Midpoints of every bracket the bisection can reach from (t_lo, t_hi)
+    in _HEAP_DEPTH steps, as a heap: node i of bracket (a, b) has midpoint
+    m = 0.5 * (a + b), and its children are nodes 2i+1 of (a, m) and 2i+2
+    of (m, b). Each midpoint is the float the bisection computes there."""
+    mids: list[float] = []
+    brackets = [(t_lo, t_hi)]
+    for _ in range(_HEAP_DEPTH):
+        children = []
+        for a, b in brackets:
+            m = 0.5 * (a + b)
+            mids.append(m)
+            children += [(a, m), (m, b)]
+        brackets = children
+    return mids
 
 
 def critical_temperature(
@@ -132,6 +189,18 @@ def critical_temperature(
     expanding the top of the bracket up to 1e6. Bisection stops at width
     ``tol`` (finite and positive) or when no float lies between the ends.
     """
+    return _threshold(shifted_levels(spectral.eigenvalues), kind, e_lower, bracket, tol)
+
+
+def _threshold(
+    levels: np.ndarray, kind: str, e_lower: float, bracket: tuple[float, float], tol: float
+) -> float | None:
+    """``critical_temperature`` on the shifted levels of the spectrum.
+
+    Each round evaluates the midpoint heap of the current bracket in one
+    pass and walks it; since a row of ``entropy_and_weight`` has the bits of
+    that one temperature, every step compares as a per-point bisection does.
+    """
     if kind not in ("eq2", "eq4"):
         raise ValueError(f"kind must be 'eq2' or 'eq4', got {kind!r}")
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -142,24 +211,28 @@ def critical_temperature(
     if e_lower <= 0:
         return None
 
-    levels = shifted_levels(spectral.eigenvalues)
+    def quantities(temperatures: list[float]) -> list[float]:
+        s, p = entropy_and_weight(levels, temperatures)
+        return s.tolist() if kind == "eq4" else [-math.log(w) for w in p.tolist()]
 
-    def quantity(temperature: float) -> float:
-        s, p = entropy_and_weight(levels, [temperature])
-        return float(s[0]) if kind == "eq4" else -math.log(p[0])
-
-    if quantity(t_lo) >= e_lower:
+    if quantities([t_lo])[0] >= e_lower:
         return None  # never fires at or above t_lo (quantity is nondecreasing)
-    while quantity(t_hi) < e_lower:
+    while quantities([t_hi])[0] < e_lower:
         t_hi *= 10.0
         if t_hi > T_CEILING:
             return None
+    mids: list[float] = []
+    fires: list[bool] = []
+    i = 0
     while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
-        mid = 0.5 * (t_lo + t_hi)
-        if quantity(mid) < e_lower:
-            t_lo = mid
+        if i >= len(mids):  # walked off the heap: evaluate the next one
+            mids = _midpoint_heap(t_lo, t_hi)
+            fires = [q < e_lower for q in quantities(mids)]
+            i = 0
+        if fires[i]:
+            t_lo, i = mids[i], 2 * i + 2
         else:
-            t_hi = mid
+            t_hi, i = mids[i], 2 * i + 1
     return 0.5 * (t_lo + t_hi)
 
 
@@ -189,10 +262,8 @@ def sweep(
     est = ree_lower_bound(psi)
     if fw_config is not None:
         est = replace(est, upper=ree_upper_bound(psi.to_density(), fw_config).upper)
-    reports = _reports(spectral, grid, est)
+    levels = shifted_levels(spectral.eigenvalues)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
-    t_star_eq2, t_star_eq4 = (
-        critical_temperature(spectral, kind, est.lower, bracket)
-        for kind in ("eq2", "eq4")
-    )
-    return SweepResult(reports=reports, T_star_eq2=t_star_eq2, T_star_eq4=t_star_eq4)
+    t_stars = tuple(_threshold(levels, kind, est.lower, bracket, T_STAR_TOL)
+                    for kind in ("eq2", "eq4"))
+    return _grid_result(spectral, levels, grid, est, t_stars)

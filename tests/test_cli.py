@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermwit import SpinModelSpec, cli, models
 from thermwit.ent import EntanglementEstimate
 from thermwit.models import build_spin_hamiltonian, spin_spectrum
-from thermwit.witness import T_STAR_TOL
+from thermwit.witness import T_STAR_TOL, SweepResult, WitnessReport
 from thermwit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -499,6 +500,39 @@ def test_gas_scan_outputs_byte_identical(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.tuples(
+        _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS,
+        st.sampled_from([(False, False), (True, False), (True, True)]),  # eq4 => eq2
+    ), min_size=1, max_size=12),
+    e_lower=_EDGE_FLOATS,
+    e_upper=st.none() | _EDGE_FLOATS,
+    t_stars=st.lists(st.none() | st.floats(0.0, 1e300), min_size=2, max_size=2),
+    as_numpy=st.booleans(),
+)
+def test_sweep_csv_matches_the_per_field_formatter(rows, e_lower, e_upper, t_stars, as_numpy):
+    # the row %-format writes the bytes that ",".join(map(_fmt, row)) wrote
+    # for each report, with its verdicts given as numpy or Python bools
+    if None not in t_stars:
+        t_stars.sort(reverse=True)  # T*_eq4 <= T*_eq2
+    old_rows = [(t, max(x, y), p, min(x, y), e_lower, e_upper, eq2, eq4)  # -ln p <= S
+                for t, p, x, y, (eq2, eq4) in rows]
+    t, s, p, neg_ln_p, _, _, eq2, eq4 = (np.array(c) if as_numpy else list(c)
+                                         for c in zip(*old_rows))
+    result = SweepResult(
+        T=t, S=s, p=p, neg_ln_p=neg_ln_p, eq2_fires=eq2, eq4_fires=eq4,
+        E_lower=e_lower, E_upper=e_upper, ground_degeneracy=1,
+        T_star_eq2=t_stars[0], T_star_eq4=t_stars[1],
+    )
+    old_rows = [WitnessReport._fields[:-1], *old_rows,
+                ["T_star_eq2", t_stars[0]], ["T_star_eq4", t_stars[1]]]
+    assert cli._sweep_csv(result) == "".join(",".join(map(cli._fmt, r)) + "\n" for r in old_rows)
 
 
 # ---------------------------------------------------------------------------

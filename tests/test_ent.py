@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,44 @@ def test_lower_bound_ghz():
 def test_lower_bound_product_state_zero():
     psi = PureState(np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=complex), (2, 2, 2))
     assert ree_lower_bound(psi).lower == pytest.approx(0.0, abs=1e-12)
+
+
+def _cuts_with_site_zero(n):
+    """Every bipartition once, as the side that holds site 0."""
+    return [PartitionCut(frozenset(i for i in range(n) if mask >> i & 1))
+            for mask in range(1, 2 ** n - 1, 2)]
+
+
+def test_lower_bound_equals_the_largest_single_cut(rng):
+    # the stacked SVDs of the bound give each cut the bits of its own evaluation
+    factors = tuple(random_pure(rng, (2,)).amplitudes for _ in range(4))
+    product = PureState(ProductStateAnsatz(factors).vector(), (2,) * 4)
+    states = [random_pure(rng, (2,) * n) for n in range(2, 9)]
+    states += [random_pure(rng, (3, 2, 4)), ghz_pure(), product]
+    for psi in states:
+        n = len(psi.dims)
+        cuts = _cuts_with_site_zero(n)
+        est = ree_lower_bound(psi)
+        assert est.iterations == len(cuts) == 2 ** (n - 1) - 1
+        assert est.lower == max(entanglement_entropy_pure(psi, cut) for cut in cuts)
+    assert ree_lower_bound(ghz_pure()).lower == pytest.approx(LN2, abs=1e-12)
+    lower = ree_lower_bound(product).lower
+    assert lower == 0.0 and math.copysign(1.0, lower) == 1.0  # exactly +0.0
+
+
+def test_lower_bound_memory_does_not_grow_with_the_cut_count(rng):
+    # 12 sites: 2047 cut matrices of 64 KB each; stacked whole, the 462 of one
+    # shape would take 30 MB, and the traced peak was 87 MB
+    psi = random_pure(rng, (2,) * 12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        est = ree_lower_bound(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * 2 ** 20  # 3.5 MB in 1 MB chunks
+    assert est.lower == max(entanglement_entropy_pure(psi, cut) for cut in _cuts_with_site_zero(12))
 
 
 def test_lower_bound_singlet_exact():

@@ -20,7 +20,7 @@ from thermwit import (
     sweep,
     thermal_ensemble,
 )
-from thermwit.witness import T_CEILING, T_STAR_TOL, SweepResult, WitnessReport
+from thermwit.witness import T_CEILING, T_STAR_TOL, SweepResult
 from conftest import LN2, heis2_closed_form, point_report, point_threshold
 
 # frozen pre-build oracle values (bisection on closed-form entropies)
@@ -73,20 +73,22 @@ def test_product_ground_state_never_fires():
 
 
 def test_report_rejects_implication_violation():
-    with pytest.raises(RuntimeError, match="implication"):
-        SweepResult((WitnessReport(
-            T=1.0, S=0.1, p=0.99, neg_ln_p=0.2, E_lower=0.15, E_upper=None,
-            eq2_fires=False, eq4_fires=True, ground_degeneracy=1,
-        ),), None, None)
-    with pytest.raises(RuntimeError, match="exceeds S"):
-        SweepResult((WitnessReport(
-            T=1.0, S=0.1, p=0.8, neg_ln_p=0.2, E_lower=0.05, E_upper=None,
-            eq2_fires=False, eq4_fires=False, ground_degeneracy=1,
-        ),), None, None)
+    def columns(second_row, t_star_eq2=None, t_star_eq4=None):
+        # a sound first row at T=1.0, then the row under test at T=2.0
+        rows = [(1.0, 0.5, 0.9, 0.1, True, True), (2.0, *second_row)]
+        cols = dict(zip(("T", "S", "p", "neg_ln_p", "eq2_fires", "eq4_fires"), zip(*rows)))
+        return SweepResult(**cols, E_lower=0.15, E_upper=None, ground_degeneracy=1,
+                           T_star_eq2=t_star_eq2, T_star_eq4=t_star_eq4)
+
+    with pytest.raises(RuntimeError, match=r"implication violated at T=2\.0: "):
+        columns((0.1, 0.99, 0.2, False, True))
+    with pytest.raises(RuntimeError, match=r"-ln p = 0\.2 exceeds S = 0\.1 at T=2\.0$"):
+        columns((0.1, 0.8, 0.2, False, False))
     # the thresholds are bisected to T_STAR_TOL, so the order check allows that much
-    SweepResult(reports=(), T_star_eq2=1.0, T_star_eq4=1.0 + 0.5 * T_STAR_TOL)
+    sound = (0.5, 0.9, 0.1, True, True)
+    columns(sound, 1.0, 1.0 + 0.5 * T_STAR_TOL)
     with pytest.raises(RuntimeError, match="entropy-form threshold exceeds"):
-        SweepResult(reports=(), T_star_eq2=1.0, T_star_eq4=1.0 + 2 * T_STAR_TOL)
+        columns(sound, 1.0, 1.0 + 2 * T_STAR_TOL)
 
 
 def test_evaluate_rejects_nonpositive_temperature():
@@ -298,3 +300,34 @@ def test_sweep_equals_point_by_point_evaluation(n_sites, seed, width, ground_cop
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
     for kind, t_star in (("eq2", res.T_star_eq2), ("eq4", res.T_star_eq4)):
         assert t_star == point_threshold(spectral, kind, est.lower, bracket, 1e-6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([0.1, 1.0, 30.0, 3000.0]),
+    ground_copies=st.integers(1, 3),
+    e_fraction=st.floats(0.0, 1.2),
+    log10_lo=st.floats(-3.0, 3.0),
+    log10_span=st.floats(1e-3, 4.0),
+    tol=st.sampled_from([T_STAR_TOL, 1e-300]),
+)
+def test_threshold_equals_point_by_point_bisection(
+    n_sites, seed, width, ground_copies, e_fraction, log10_lo, log10_span, tol
+):
+    # the spectra of test_sweep_equals_point_by_point_evaluation; brackets
+    # that need top expansion, that end at T_CEILING, and whose witness never
+    # fires at the bottom; tol=1e-300 runs to the nextafter stop inside a heap
+    rng = np.random.default_rng(seed)
+    d = 2 ** n_sites
+    e = np.sort(rng.uniform(-1.0, 1.0, d)) * width
+    e[:ground_copies] = e[0]
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    spectral = eig_hermitian(HermitianOperator((q * e) @ q.T, (2,) * n_sites))
+    e_lower = e_fraction * math.log(d)  # above ln d, no temperature reaches it
+    bracket = (10.0 ** log10_lo, 10.0 ** (log10_lo + log10_span))
+    for kind in ("eq2", "eq4"):
+        assert critical_temperature(spectral, kind, e_lower, bracket, tol) == (
+            point_threshold(spectral, kind, e_lower, bracket, tol)
+        )
