@@ -47,10 +47,6 @@ _MAX_ROUNDS = 200
 #: Frank-Wolfe stops once its duality gap falls below this.
 _FW_GAP_TOL = 1e-4
 
-#: Byte size of one stack of cut matrices, so that the batched SVDs of the
-#: max-cut bound need no more memory at 14 sites than at 4.
-_STACK_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class PartitionCut:
@@ -138,33 +134,19 @@ class PPTCheckResult:
 # ---------------------------------------------------------------------------
 
 def _cut_entropies(psi: PureState, sides: Sequence[tuple[int, ...]]) -> list[float]:
-    """Entanglement entropy across each cut (sorted ``side_a`` indices).
-
-    Cuts whose matrices have the same shape are stacked and their singular
-    values taken in one batched SVD, in chunks of at most _STACK_BYTES; each
-    matrix gets the same singular values as on its own. Schmidt weights at or
-    below EIG_CLAMP count as zero.
-    """
+    """Entanglement entropy across each cut (sorted ``side_a`` indices), from
+    the singular values of the state reshaped into a matrix across it, one
+    cut at a time. Schmidt weights at or below EIG_CLAMP count as zero."""
     n = len(psi.dims)
     tensor = psi.amplitudes.reshape(psi.dims)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, side in enumerate(sides):
+    out = []
+    for side in sides:
         rows = math.prod(psi.dims[j] for j in side)
-        by_shape.setdefault((rows, psi.amplitudes.size // rows), []).append(i)
-    out = [0.0] * len(sides)
-    step = max(1, _STACK_BYTES // psi.amplitudes.nbytes)  # each matrix holds the whole state
-    for shape, members in by_shape.items():
-        for lo in range(0, len(members), step):
-            chunk = members[lo:lo + step]
-            stack = np.stack([
-                tensor.transpose(sides[i] + tuple(j for j in range(n) if j not in sides[i]))
-                .reshape(shape)
-                for i in chunk
-            ])
-            for i, lam in zip(chunk, np.linalg.svd(stack, compute_uv=False) ** 2):
-                lam = lam[lam > EIG_CLAMP]
-                # one weight is a product across the cut; -lam ln lam would be round-off
-                out[i] = 0.0 if lam.size == 1 else float(-np.sum(lam * np.log(lam)))
+        mat = tensor.transpose(side + tuple(j for j in range(n) if j not in side))
+        lam = np.linalg.svd(mat.reshape(rows, -1), compute_uv=False) ** 2
+        lam = lam[lam > EIG_CLAMP]
+        # one weight is a product across the cut; -lam ln lam would be round-off
+        out.append(0.0 if lam.size == 1 else float(-np.sum(lam * np.log(lam))))
     return out
 
 

@@ -166,6 +166,11 @@ class SpectralDecomposition:
     eigenvalues in ``eigenvalues``, its eigenvector columns). The dense
     eigenvector matrix is assembled only when ``eigenvectors`` is read;
     ``columns`` gives the lowest few columns.
+
+    Construction checks the order every reader relies on: the eigenvalues
+    are finite and non-decreasing, so position 0 is a ground level, and the
+    blocks' indices and positions each cover 0..d-1 once, with eigenvector
+    columns of matching shape. Any failure raises ``ValueError``.
     """
 
     eigenvalues: np.ndarray
@@ -175,16 +180,33 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
         vals.setflags(write=False)
-        for block in self.blocks:
-            for arr in block:
+        if (vals.ndim != 1 or not vals.size or not np.isfinite(vals).all()
+                or (vals[1:] < vals[:-1]).any()):
+            raise ValueError("eigenvalues must be a nonempty 1-D array, finite and non-decreasing")
+        for rows, positions, vecs in self.blocks:
+            if vecs.shape != (rows.size, positions.size):
+                raise ValueError(f"block vectors of shape {vecs.shape} do not match "
+                                 f"{rows.size} indices and {positions.size} positions")
+            for arr in (rows, positions, vecs):
                 arr.setflags(write=False)
+        for name, part in (("indices", 0), ("positions", 1)):
+            index = np.concatenate([np.empty(0, np.intp)] + [b[part] for b in self.blocks])
+            if (index < 0).any() or not np.array_equal(
+                    np.bincount(index, minlength=vals.size), np.ones(vals.size)):
+                raise ValueError(f"block {name} must cover 0..{vals.size - 1} once each")
         object.__setattr__(self, "eigenvalues", vals)
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """The eigenvalues relative to the lowest, which is 0 (read-only)."""
+        out = self.eigenvalues - self.eigenvalues[0]
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def ground_degeneracy(self) -> int:
         """Number of levels within DEGENERACY_TOL of the lowest."""
-        e = self.eigenvalues
-        return int(np.count_nonzero(e - e[0] <= DEGENERACY_TOL))
+        return int(np.count_nonzero(self.levels <= DEGENERACY_TOL))
 
     def columns(self, count: int) -> np.ndarray:
         """Dense eigenvector columns of the ``count`` lowest eigenvalues."""

@@ -63,18 +63,12 @@ def _boltzmann(levels: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
     return probs, sw, s
 
 
-def shifted_levels(energies: np.ndarray) -> np.ndarray:
-    """The energies in ascending order relative to the lowest, which is 0."""
-    e = np.sort(np.asarray(energies, dtype=np.float64))
-    return e - e[0]
-
-
 def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, np.ndarray]:
     """Entropy S and single-ground-state weight p at every temperature.
 
-    ``levels`` comes from ``shifted_levels``, so a sweep sorts its spectrum
-    once. Each value has the same bits as ``canonical_scalars`` at that
-    temperature; a temperature that is not finite and positive is rejected.
+    ``levels`` ascend from 0, as ``SpectralDecomposition.levels`` does. Each
+    value has the same bits as ``canonical_scalars`` at that temperature; a
+    temperature that is not finite and positive is rejected.
     """
     temps = _checked_temperatures(temperatures)
     s, sw = np.empty(temps.size), np.empty(temps.size)
@@ -127,8 +121,7 @@ class ThermalEnsemble(CanonicalScalars):
     @cached_property
     def rho_T(self) -> DensityOperator:
         """Dense Gibbs density matrix, built on first read (it costs O(d^3))."""
-        e = self.spectral.eigenvalues
-        probs = _boltzmann(e - e[0], np.array([self.temperature]))[0][0]
+        probs = _boltzmann(self.spectral.levels, np.array([self.temperature]))[0][0]
         vecs = self.spectral.eigenvectors
         rho = (vecs * probs) @ vecs.conj().T
         return DensityOperator(0.5 * (rho + rho.conj().T), self.spectral.dims)

@@ -26,7 +26,7 @@ import numpy as np
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
 from .models import ground_state
 from .qops import SpectralDecomposition
-from .thermo import entropy_and_weight, shifted_levels
+from .thermo import entropy_and_weight
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -62,8 +62,9 @@ _COLUMNS = {"T": np.float64, "S": np.float64, "p": np.float64, "neg_ln_p": np.fl
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Witness verdicts of a grid as read-only columns, the bounds they were
-    taken against, and the thresholds. Construction checks every row
-    (-ln p <= S, eq4 => eq2) and the order of the thresholds."""
+    taken against, and the thresholds. Construction checks that the columns
+    have one length, every row (-ln p <= S, eq4 => eq2) and the order of the
+    thresholds."""
 
     T: np.ndarray
     S: np.ndarray
@@ -82,6 +83,9 @@ class SweepResult:
             col = np.array(getattr(self, name), dtype=dtype)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
+        shapes = {getattr(self, name).shape for name in _COLUMNS}
+        if len(shapes) != 1:
+            raise ValueError(f"columns of unequal shapes {sorted(shapes)}")
         implication = self.eq4_fires & ~self.eq2_fires
         bad = implication | (self.neg_ln_p > self.S + 1e-9)
         if bad.any():
@@ -117,14 +121,12 @@ class SweepResult:
 
 def _grid_result(
     spectral: SpectralDecomposition,
-    levels: np.ndarray,
     temperatures: Sequence[float],
     e_value: EntanglementEstimate,
     t_stars: tuple[float | None, float | None] = (None, None),
 ) -> SweepResult:
-    """The checked result of one pass over the whole grid; ``levels`` are
-    the shifted levels of ``spectral``."""
-    s, p = entropy_and_weight(levels, temperatures)
+    """The checked result of one pass over the whole grid."""
+    s, p = entropy_and_weight(spectral.levels, temperatures)
     # libm log: np.log differs from it in some last bits; 0.0 - keeps p = 1 at +0.0
     neg_ln_p = np.array([0.0 - math.log(p_t) for p_t in p.tolist()])
     threshold = e_value.lower - GUARD
@@ -147,8 +149,7 @@ def evaluate_witness(
     Hamiltonian (use ``ree_lower_bound`` on it); any smaller value keeps the
     verdicts sound.
     """
-    levels = shifted_levels(spectral.eigenvalues)
-    return _grid_result(spectral, levels, [temperature], e_value).reports[0]
+    return _grid_result(spectral, [temperature], e_value).reports[0]
 
 
 #: Depth of the midpoint heap one bisection round evaluates: 2**5 - 1 = 31
@@ -187,15 +188,8 @@ def critical_temperature(
     not fire at the bottom of the bracket (including the degenerate-ground
     case S(0) = ln g >= e_lower), or when no crossing is found after
     expanding the top of the bracket up to 1e6. Bisection stops at width
-    ``tol`` (finite and positive) or when no float lies between the ends.
-    """
-    return _threshold(shifted_levels(spectral.eigenvalues), kind, e_lower, bracket, tol)
-
-
-def _threshold(
-    levels: np.ndarray, kind: str, e_lower: float, bracket: tuple[float, float], tol: float
-) -> float | None:
-    """``critical_temperature`` on the shifted levels of the spectrum.
+    ``tol`` (finite and positive) or when no float lies between the ends;
+    ``e_lower`` must be finite.
 
     Each round evaluates the midpoint heap of the current bracket in one
     pass and walks it; since a row of ``entropy_and_weight`` has the bits of
@@ -208,11 +202,13 @@ def _threshold(
         raise ValueError(f"invalid bracket {bracket}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not math.isfinite(e_lower):
+        raise ValueError(f"e_lower must be finite, got {e_lower}")
     if e_lower <= 0:
         return None
 
     def quantities(temperatures: list[float]) -> list[float]:
-        s, p = entropy_and_weight(levels, temperatures)
+        s, p = entropy_and_weight(spectral.levels, temperatures)
         return s.tolist() if kind == "eq4" else [-math.log(w) for w in p.tolist()]
 
     if quantities([t_lo])[0] >= e_lower:
@@ -262,8 +258,7 @@ def sweep(
     est = ree_lower_bound(psi)
     if fw_config is not None:
         est = replace(est, upper=ree_upper_bound(psi.to_density(), fw_config).upper)
-    levels = shifted_levels(spectral.eigenvalues)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
-    t_stars = tuple(_threshold(levels, kind, est.lower, bracket, T_STAR_TOL)
+    t_stars = tuple(critical_temperature(spectral, kind, est.lower, bracket)
                     for kind in ("eq2", "eq4"))
-    return _grid_result(spectral, levels, grid, est, t_stars)
+    return _grid_result(spectral, grid, est, t_stars)

@@ -7,12 +7,14 @@ from thermwit import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
     SpinModelSpec,
     build_spin_hamiltonian,
     eig_hermitian,
     partial_trace,
     partial_transpose,
     quantum_relative_entropy,
+    sweep,
     tensor_product,
     von_neumann_entropy,
 )
@@ -235,6 +237,49 @@ def test_spectral_frame_rotates_columns_back(rng):
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
     assert np.max(np.abs(rebuilt - h)) <= 1e-12
     assert np.array_equal(dec.columns(3), dec.eigenvectors[:, :3])
+
+
+#: Columns: a Bell vector, then the product states |00>, |01> and |10>.
+BELL_THEN_PRODUCT = np.array(
+    [[1 / np.sqrt(2), 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1 / np.sqrt(2), 0, 0, 0]]
+)
+
+
+def bell_then_product(eigenvalues, positions, rows=range(4), vecs=BELL_THEN_PRODUCT):
+    """Two-qubit spectrum of one block holding ``vecs`` at ``positions``."""
+    block = (np.asarray(rows), np.asarray(positions), np.asarray(vecs, dtype=complex))
+    return SpectralDecomposition(eigenvalues, (block,), (2, 2))
+
+
+def test_spectrum_rejects_levels_out_of_order():
+    # position 0 holds the Bell vector at 5, but the ground level is the
+    # product state |00> at -3: read as ordered, sweep certified it entangled
+    with pytest.raises(ValueError, match="non-decreasing"):
+        bell_then_product([5.0, -3.0, 7.0, 9.0], [0, 1, 2, 3])
+    # in order, |00> sits at position 0 and the witness never fires
+    res = sweep(bell_then_product([-3.0, 5.0, 7.0, 9.0], [1, 0, 2, 3]), [0.1, 0.5, 1.0])
+    assert res.E_lower == 0.0
+    assert not res.eq2_fires.any() and not res.eq4_fires.any()
+
+
+def test_spectrum_rejects_malformed_levels_and_blocks():
+    ordered, positions = [-3.0, 5.0, 7.0, 9.0], [1, 0, 2, 3]
+    for vals in ([-3.0, math.nan, 7.0, 9.0], [-math.inf, 5.0, 7.0, 9.0], [],
+                 [[-3.0, 5.0], [7.0, 9.0]]):
+        with pytest.raises(ValueError, match="eigenvalues must be"):
+            bell_then_product(vals, positions)
+    for bad in ([1, 1, 2, 3], [1, 0, 2, 4], [1, 0, 2, -1]):  # repeated, out of range
+        with pytest.raises(ValueError, match="positions must cover 0..3 once"):
+            bell_then_product(ordered, bad)
+    for bad in ([0, 1, 2, 2], [0, 1, 2, 5]):
+        with pytest.raises(ValueError, match="indices must cover 0..3 once"):
+            bell_then_product(ordered, positions, rows=bad)
+    with pytest.raises(ValueError, match="positions must cover"):  # position 3 missing
+        bell_then_product(ordered, [1, 0, 2], vecs=BELL_THEN_PRODUCT[:, :3])
+    with pytest.raises(ValueError, match="indices must cover"):  # row 3 missing
+        bell_then_product(ordered, positions, rows=[0, 1, 2], vecs=BELL_THEN_PRODUCT[:3])
+    with pytest.raises(ValueError, match=r"shape \(4, 3\) do not match 4 indices and 4"):
+        bell_then_product(ordered, positions, vecs=BELL_THEN_PRODUCT[:, :3])
 
 
 # ---------------------------------------------------------------------------

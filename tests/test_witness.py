@@ -89,6 +89,11 @@ def test_report_rejects_implication_violation():
     columns(sound, 1.0, 1.0 + 0.5 * T_STAR_TOL)
     with pytest.raises(RuntimeError, match="entropy-form threshold exceeds"):
         columns(sound, 1.0, 1.0 + 2 * T_STAR_TOL)
+    # a short S or verdict column would otherwise broadcast through the row checks
+    with pytest.raises(ValueError, match="unequal shapes"):
+        SweepResult(T=[1.0, 2.0, 3.0], S=[0.5], p=[0.9, 0.9, 0.9], neg_ln_p=[0.1, 0.1, 0.1],
+                    eq2_fires=[True], eq4_fires=[True, True, True], E_lower=0.15,
+                    E_upper=None, ground_degeneracy=1, T_star_eq2=None, T_star_eq4=None)
 
 
 def test_evaluate_rejects_nonpositive_temperature():
@@ -154,6 +159,9 @@ def test_threshold_rejects_bad_inputs():
     for tol in (0.0, -1.0, math.nan):  # 0 and -1 would hang, nan would skip the bisection
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, tol=tol)
+    for e_lower in (math.nan, math.inf, -math.inf):  # nan made up a threshold
+        with pytest.raises(ValueError, match="e_lower must be finite"):
+            critical_temperature(eig_hermitian(heis(2)), "eq2", e_lower)
 
 
 # ---------------------------------------------------------------------------
