@@ -86,69 +86,72 @@ def occupation(omega, mu: float, T: float, statistics: str):
 
 
 def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
-    """Chemical potential with total mean occupation ``n_target``.
+    """Chemical potential with total mean occupation ``n_target``: w0 + nu,
+    with w0 the lowest frequency and nu from ``_solve_nu``."""
+    return float(spectrum.frequencies[0]) + _solve_nu(spectrum, n_target, T)
 
-    Bisection on the strictly increasing map mu -> sum_i n_i(mu). For
+
+def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
+    """nu = mu - w0 with total mean occupation ``n_target``, found on the
+    frequencies eps = omega - w0, whose spacing, not size, sets how finely
+    nu resolves N.
+
+    Bisection on the strictly increasing map nu -> sum_i n_i(nu). For
     fermions the Pauli bound requires n_target < number of modes; bosons are
     bracketed strictly below the lowest frequency. Raises RuntimeError when
-    the mu it finds misses the target.
+    the nu it finds misses the target.
     """
-    freqs = spectrum.frequencies
-    stats = spectrum.statistics
-    if stats == "fermi" and n_target >= freqs.size:
-        raise ValueError(
-            f"fermi target {n_target} violates the Pauli bound (< {freqs.size} modes)"
-        )
+    freqs, stats = spectrum.frequencies, spectrum.statistics
+    eps = freqs - freqs[0]
+    if stats == "fermi" and n_target >= eps.size:
+        raise ValueError(f"fermi target {n_target} violates the Pauli bound (< {eps.size} modes)")
     if stats == "boltzmann":
-        # sum_i e^{-(w_i - mu)/T} = N is exponential in mu: solve exactly
-        # (log-sum-exp shifted by the lowest frequency).
-        shifted = float(np.sum(np.exp(-(freqs - freqs[0]) / T)))
-        mu = float(freqs[0] + T * (math.log(n_target) - math.log(shifted)))
-        n = float(np.sum(occupation(freqs, mu, T, stats)))
+        # sum_i e^{-(eps_i - nu)/T} = N is exponential in nu: solve exactly
+        nu = T * (math.log(n_target) - math.log(float(np.sum(np.exp(-eps / T)))))
+        n = float(np.sum(occupation(eps, nu, T, stats)))
         if abs(n - n_target) > max(1e-8, 1e-10 * n_target):
             raise RuntimeError(f"occupancy target missed: {n} vs {n_target}")
-        return mu
+        return nu
     w_max = float(freqs[-1])
-    lo = -1e6 * w_max
-    hi = float(freqs[0]) - 1e-12 if stats == "bose" else 1e6 * w_max
-    total = lambda mu: float(np.sum(occupation(freqs, mu, T, stats)))
-    # relative floor: near bose condensation dN/dmu ~ N^2/T, so the absolute
+    lo, hi = -1e6 * w_max, (-1e-12 if stats == "bose" else 1e6 * w_max)
+    total = lambda nu: float(np.sum(occupation(eps, nu, T, stats)))
+    # relative floor: near bose condensation dN/dnu ~ N^2/T, so the absolute
     # target is unreachable in float64 for large N; 1e-11 relative still is
     done = lambda n: abs(n - n_target) <= max(MU_SOLVE_TOL, 1e-11 * n_target)
     for _ in range(500):
-        mu = 0.5 * (lo + hi)
-        n = total(mu)
+        nu = 0.5 * (lo + hi)
+        n = total(nu)
         if done(n):
-            return mu
+            return nu
         if n < n_target:
-            lo = mu
+            lo = nu
         else:
-            hi = mu
-        if hi - lo <= 4 * np.finfo(float).eps * abs(mu):  # relative: |mu| may be << 1
+            hi = nu
+        if hi - lo <= 4 * np.finfo(float).eps * abs(nu):  # relative: |nu| may be << 1
             break
-    # the last mu tried was not done, or the loop would have returned it
-    raise RuntimeError(
-        f"chemical-potential solve did not converge: residual {n - n_target:.3e} at mu={mu!r}"
-    )
+    # the last nu tried was not done, or the loop would have returned it
+    raise RuntimeError(f"chemical-potential solve did not converge: residual "
+                       f"{n - n_target:.3e} at mu - w0 = {nu!r}")
 
 
 def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
-    """Resolve mu (if a particle target is set), then occupations, S and F."""
+    """Resolve mu (if a particle target is set), then occupations, S and F.
+
+    A solved mu is w0 + nu; the occupations and F are evaluated with nu on
+    omega - w0, since mu rounded to the spacing of w0 would lose nu.
+    """
     if not 0 < T < math.inf:
         raise ValueError(f"temperature must be finite and positive, got {T}")
+    freqs, stats = spectrum.frequencies, spectrum.statistics
     if spectrum.chemical_potential is not None:
-        mu = float(spectrum.chemical_potential)
+        mu = nu = float(spectrum.chemical_potential)
     else:
-        mu = solve_mu(spectrum, spectrum.particle_target, T)
-    n = occupation(spectrum.frequencies, mu, T, spectrum.statistics)
-    return GasState(
-        T=float(T),
-        mu=mu,
-        occupations=n,
-        S=_entropy_from_occupations(n, spectrum.statistics),
-        F=_free_energy(spectrum.frequencies, mu, T, spectrum.statistics),
-        N_actual=float(np.sum(n)),
-    )
+        nu = _solve_nu(spectrum, spectrum.particle_target, T)
+        mu = float(freqs[0]) + nu
+        freqs = freqs - freqs[0]
+    n = occupation(freqs, nu, T, stats)
+    return GasState(T=float(T), mu=mu, occupations=n, S=_entropy_from_occupations(n, stats),
+                    F=_free_energy(freqs, nu, T, stats), N_actual=float(np.sum(n)))
 
 
 def _entropy_from_occupations(n: np.ndarray, statistics: str) -> float:

@@ -14,6 +14,7 @@ wrap-around bond.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ STATISTICS = ("bose", "fermi", "boltzmann")
 
 #: Term = (site indices, Pauli labels, coefficient), e.g. ((0, 2), "XZ", 0.5).
 CustomTerm = tuple[tuple[int, ...], str, float]
+
+
+def _site_index(site) -> int:
+    """A term's site; a float, string or bool is refused, not truncated or parsed."""
+    if isinstance(site, bool) or not hasattr(site, "__index__"):
+        raise ValueError(f"term site {site!r} is not an integer")
+    return operator.index(site)
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class SpinModelSpec:
             if not self.custom_terms:
                 raise ValueError("custom_terms model needs a nonempty custom_terms list")
             terms = tuple(
-                (tuple(int(s) for s in sites), str(labels).upper(), float(coeff))
+                (tuple(_site_index(s) for s in sites), str(labels).upper(), float(coeff))
                 for sites, labels, coeff in self.custom_terms
             )
             for sites, labels, coeff in terms:

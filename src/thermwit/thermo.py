@@ -26,6 +26,7 @@ class CanonicalScalars:
     U: float
     S: float
     p: float  # Boltzmann weight of a single ground state, exp(-beta E0)/Z
+    neg_ln_p: float  # -ln p, the log of the partition sum shifted by E0
 
 
 #: Byte size of one (temperatures, levels) temporary. A longer grid is
@@ -42,44 +43,40 @@ def _checked_temperatures(temperatures) -> np.ndarray:
 
 
 def _boltzmann(levels: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Normalized Boltzmann weights, one row per temperature, with the
-    shifted weight sums and the entropies; ``levels`` ascend from 0.
+    """Boltzmann weights of the levels above the lowest, one row per
+    temperature, and per row their sum ``rest``, -ln p, U - E0 and S;
+    ``levels`` ascend from 0.
 
-    A row whose smallest weights underflowed to 0 sums its entropy over the
-    positive weights alone, as a 1-D array, so every row gets the same bits
-    as a grid of that one temperature.
+    With p = 1/(1 + rest), the paper's identity S = -ln p + (U - E0)/T gives
+    S from two nonnegative terms, so S >= -ln p holds bit for bit, and a
+    weight that underflowed to 0 adds 0. Rows are reduced with ``np.sum``,
+    so each has the bits of a grid of that one temperature.
     """
-    w = np.exp(-(1.0 / temps)[:, None] * levels)  # w[:, 0] == 1 exactly
-    sw = np.sum(w, axis=1)
-    probs = w / sw[:, None]
-    positive = probs > 0
-    full = positive.all(axis=1)
-    x = probs if full.all() else probs[full]
-    s = np.empty(temps.size)
-    s[full] = 0.0 - np.sum(x * np.log(x), axis=1)  # +0.0, not -0.0, for a pure state
-    for i in np.flatnonzero(~full):
-        nz = probs[i][positive[i]]
-        s[i] = 0.0 - np.sum(nz * np.log(nz))
-    return probs, sw, s
+    w = np.exp(-(levels[1:] / temps[:, None]))
+    rest = np.sum(w, axis=1)
+    neg_ln_p = np.log1p(rest)
+    excess = np.sum(levels[1:] * w, axis=1) / (1.0 + rest)
+    return w, rest, neg_ln_p, excess, neg_ln_p + excess / temps
 
 
-def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy S and single-ground-state weight p at every temperature.
+def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, ...]:
+    """Entropy S, single-ground-state weight p and -ln p at every temperature.
 
     ``levels`` ascend from 0, as ``SpectralDecomposition.levels`` does. Each
     value has the same bits as ``canonical_scalars`` at that temperature; a
     temperature that is not finite and positive is rejected.
     """
     temps = _checked_temperatures(temperatures)
-    s, sw = np.empty(temps.size), np.empty(temps.size)
+    s, rest, neg_ln_p = np.empty(temps.size), np.empty(temps.size), np.empty(temps.size)
     rows = max(1, _BLOCK_BYTES // (8 * levels.size))
     for lo in range(0, temps.size, rows):
-        _, sw[lo:lo + rows], s[lo:lo + rows] = _boltzmann(levels, temps[lo:lo + rows])
-    return s, 1.0 / sw
+        block = slice(lo, lo + rows)
+        _, rest[block], neg_ln_p[block], _, s[block] = _boltzmann(levels, temps[block])
+    return s, 1.0 / (1.0 + rest), neg_ln_p
 
 
 def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScalars:
-    """Evaluate log Z, F, U, S and the single-ground-state weight p.
+    """Evaluate log Z, F, U, S, the single-ground-state weight p and -ln p.
 
     ``p`` is the weight of one ground state: for a g-fold degenerate ground
     level the total ground population is g*p. Every spin-side thermal
@@ -89,13 +86,11 @@ def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScal
     """
     temps = _checked_temperatures(temperature)
     e = np.sort(np.asarray(energies, dtype=np.float64))
-    probs, sw, s = _boltzmann(e - e[0], temps)
-    sw = float(sw[0])
-    log_sw = math.log(sw)
-    log_z = -(1.0 / temperature) * e[0] + log_sw
-    f = e[0] - temperature * log_sw
-    u = float(probs[0] @ e)
-    return CanonicalScalars(log_Z=log_z, F=f, U=u, S=float(s[0]), p=1.0 / sw)
+    e0 = float(e[0])
+    rest, neg_ln_p, excess, s = (float(x[0]) for x in _boltzmann(e - e0, temps)[1:])
+    return CanonicalScalars(log_Z=-(1.0 / temperature) * e0 + neg_ln_p,
+                            F=e0 - temperature * neg_ln_p, U=e0 + excess, S=s,
+                            p=1.0 / (1.0 + rest), neg_ln_p=neg_ln_p)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,8 @@ class ThermalEnsemble(CanonicalScalars):
     @cached_property
     def rho_T(self) -> DensityOperator:
         """Dense Gibbs density matrix, built on first read (it costs O(d^3))."""
-        probs = _boltzmann(self.spectral.levels, np.array([self.temperature]))[0][0]
+        w, rest = _boltzmann(self.spectral.levels, np.array([self.temperature]))[:2]
+        probs = np.concatenate(([1.0], w[0])) / (1.0 + rest[0])
         vecs = self.spectral.eigenvectors
         rho = (vecs * probs) @ vecs.conj().T
         return DensityOperator(0.5 * (rho + rho.conj().T), self.spectral.dims)
@@ -140,17 +136,15 @@ def thermal_ensemble(spectral: SpectralDecomposition, temperature: float) -> The
 def rel_entropy_pure_to_thermal(psi: PureState, ens: ThermalEnsemble) -> float:
     """Relative entropy of |psi><psi| to the thermal state, in closed form.
 
-    Equals beta <psi|H|psi> + ln Z; for a ground state this is -ln p.
-    Evaluated in the shifted domain so large beta stays finite.
+    Equals beta <psi|H|psi> + ln Z = beta (<psi|H|psi> - E0) - ln p, which
+    stays finite for large beta; for a ground state this is -ln p.
     """
     if psi.dims != ens.spectral.dims:
         raise ValueError(f"dimension mismatch: {psi.dims} vs {ens.spectral.dims}")
     e = ens.spectral.eigenvalues
     overlaps = np.abs(ens.spectral.eigenvectors.conj().T @ psi.amplitudes) ** 2
     energy = float(overlaps @ e)
-    # beta*energy + log_Z, grouped as beta*(energy - E0) + log(sum of shifted weights)
-    log_sw = ens.log_Z + ens.beta * e[0]
-    return ens.beta * (energy - float(e[0])) + log_sw
+    return ens.beta * (energy - float(e[0])) + ens.neg_ln_p
 
 
 @dataclass(frozen=True)
@@ -166,11 +160,6 @@ class Eq3Check:
 def check_eq3(ens: ThermalEnsemble) -> Eq3Check:
     """Verify p >= exp(-S); the gap in log form is beta (U - E0) >= 0."""
     e0 = float(ens.spectral.eigenvalues[0])
-    slack = ens.beta * (ens.U - e0)
     exp_neg_s = math.exp(-ens.S)
-    return Eq3Check(
-        p=ens.p,
-        exp_neg_S=exp_neg_s,
-        holds=bool(ens.p >= exp_neg_s - 1e-10),
-        slack=slack,
-    )
+    return Eq3Check(p=ens.p, exp_neg_S=exp_neg_s, holds=bool(ens.p >= exp_neg_s - 1e-10),
+                    slack=ens.beta * (ens.U - e0))

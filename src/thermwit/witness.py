@@ -126,9 +126,7 @@ def _grid_result(
     t_stars: tuple[float | None, float | None] = (None, None),
 ) -> SweepResult:
     """The checked result of one pass over the whole grid."""
-    s, p = entropy_and_weight(spectral.levels, temperatures)
-    # libm log: np.log differs from it in some last bits; 0.0 - keeps p = 1 at +0.0
-    neg_ln_p = np.array([0.0 - math.log(p_t) for p_t in p.tolist()])
+    s, p, neg_ln_p = entropy_and_weight(spectral.levels, temperatures)
     threshold = e_value.lower - GUARD
     return SweepResult(
         T=temperatures, S=s, p=p, neg_ln_p=neg_ln_p,
@@ -208,8 +206,8 @@ def critical_temperature(
         return None
 
     def quantities(temperatures: list[float]) -> list[float]:
-        s, p = entropy_and_weight(spectral.levels, temperatures)
-        return s.tolist() if kind == "eq4" else [-math.log(w) for w in p.tolist()]
+        s, _, neg_ln_p = entropy_and_weight(spectral.levels, temperatures)
+        return (s if kind == "eq4" else neg_ln_p).tolist()
 
     if quantities([t_lo])[0] >= e_lower:
         return None  # never fires at or above t_lo (quantity is nondecreasing)

@@ -182,21 +182,22 @@ def loop_alternating_minimum(matrix, dims, rng, restarts, warm=None):
 
 def point_canonical(energies, temperature: float) -> dict:
     """Reference canonical quantities at one temperature, evaluated point by
-    point the way ``thermo.canonical_scalars`` did before the grid path: the
+    point from the identity S = -ln p + (U - E0)/T, with p = 1/(1 + rest)
+    and rest the Boltzmann weights above the ground level summed: the
     spectrum is sorted again for every temperature."""
     e = np.sort(np.asarray(energies, dtype=np.float64))
-    beta = 1.0 / temperature
-    w = np.exp(-beta * (e - e[0]))
-    sw = float(np.sum(w))
-    probs = w / sw
-    log_sw = math.log(sw)
-    nz = probs[probs > 0]
+    levels = e[1:] - e[0]
+    w = np.exp(-(levels / temperature))
+    rest = float(np.sum(w))
+    neg_ln_p = float(np.log1p(rest))
+    excess = float(np.sum(levels * w)) / (1.0 + rest)
     return {
-        "log_Z": -beta * e[0] + log_sw,
-        "F": e[0] - temperature * log_sw,
-        "U": float(probs @ e),
-        "S": float(-np.sum(nz * np.log(nz))),
-        "p": 1.0 / sw,
+        "log_Z": -(1.0 / temperature) * e[0] + neg_ln_p,
+        "F": e[0] - temperature * neg_ln_p,
+        "U": e[0] + excess,
+        "S": neg_ln_p + excess / temperature,
+        "p": 1.0 / (1.0 + rest),
+        "neg_ln_p": neg_ln_p,
     }
 
 
@@ -205,7 +206,7 @@ def point_report(spectral, temperature: float, est):
     from thermwit.witness import GUARD, WitnessReport
 
     sc = point_canonical(spectral.eigenvalues, temperature)
-    neg_ln_p = -math.log(sc["p"])
+    neg_ln_p = sc["neg_ln_p"]
     return WitnessReport(
         T=float(temperature), S=sc["S"], p=sc["p"], neg_ln_p=neg_ln_p,
         E_lower=float(est.lower), E_upper=est.upper,
@@ -226,7 +227,7 @@ def point_threshold(spectral, kind: str, e_lower: float, bracket, tol: float):
 
     def quantity(t):
         sc = point_canonical(spectral.eigenvalues, t)
-        return sc["S"] if kind == "eq4" else -math.log(sc["p"])
+        return sc["S"] if kind == "eq4" else sc["neg_ln_p"]
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if quantity(t_lo) >= e_lower:

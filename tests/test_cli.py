@@ -232,18 +232,34 @@ def test_overflowing_terms_exit_2_before_any_eigensolver(tmp_path, capsys, monke
 
 def test_zero_entropy_prints_no_negative_zero(tmp_path, capsys):
     # at T = 0.004 the 2-site Heisenberg state is pure to double precision:
-    # S = 0 and p = 1, so -ln p = 0; neither may print as -0
+    # S = 0 and p = 1, so -ln p = 0; neither may print as -0. At T = 0.01,
+    # p rounds to 1 but -ln p = ln(1 + 3e^-400) does not round to 0
     model = write_model(tmp_path, HEIS2)
     assert main(["spin-sweep", "--model", model, "--temps", "0.004:0.01:2"]) == EXIT_OK
     rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
     assert rows[1][:4] == ["0.004", "0", "1", "0"]
-    assert rows[2][0] == "0.01" and float(rows[2][1]) > 0 and rows[2][2:4] == ["1", "0"]
+    assert rows[2][0] == "0.01" and float(rows[2][1]) > 0
+    assert rows[2][2:4] == ["1", "5.74550879014e-174"]
     assert main(["spin-sweep", "--model", model, "--temps", "0.004:0.01:2",
                  "--format", "json"]) == EXIT_OK
     reports = json.loads(capsys.readouterr().out)["reports"]
     for key in ("S", "neg_ln_p"):
         assert math.copysign(1.0, reports[0][key]) == 1.0
     assert math.copysign(1.0, reports[1]["neg_ln_p"]) == 1.0
+
+
+@pytest.mark.parametrize("terms", [
+    [[[0.7, 1], "XX", 1.0], [[1.9], "Z", 0.5]],  # solved as sites 0 and 1 when truncated
+    [[["0", 1], "XX", 1.0]],
+    [[[False, True], "XX", 1.0]],
+])
+def test_non_integer_term_site_exits_2(terms, tmp_path, capsys):
+    model = write_model(tmp_path, {"kind": "custom_terms", "n_sites": 2, "custom_terms": terms})
+    assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: invalid model")
+    assert "is not an integer" in captured.err
 
 
 def test_unknown_model_key_exits_2(tmp_path, capsys):

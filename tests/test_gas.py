@@ -106,10 +106,23 @@ def test_boltzmann_mu_closed_form():
     sp = ModeSpectrum([1.0, 2.0, 3.0], statistics="boltzmann", particle_target=2.0)
     st = gas_state(sp, 1.7)
     assert st.N_actual == pytest.approx(2.0, abs=1e-12)
-    # near 1e12 the float spacing of mu (1.2e-4) moves N by 1e-5 relative
+    # near 1e12 the float spacing of mu (1.2e-4) would move N by 1e-5
+    # relative; mu - 1e12 is solved and used in the frame of the lowest mode
     far = ModeSpectrum([1e12, 1e12 + 1.0], statistics="boltzmann", particle_target=1.0)
-    with pytest.raises(RuntimeError, match="occupancy target missed"):
-        gas_state(far, 1.0)
+    assert abs(gas_state(far, 1.0).N_actual - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi", "boltzmann"])
+@pytest.mark.parametrize("w0", [1.0, 1e8, 1e12])
+def test_particle_target_met_at_any_lowest_frequency(statistics, w0):
+    # only the spacing of the modes matters: mu - w0 is the same at every w0
+    sp = ModeSpectrum([w0, w0 + 1.0, w0 + 2.0], statistics=statistics, particle_target=1.0)
+    st = gas_state(sp, 1.0)
+    assert abs(st.N_actual - 1.0) <= 1e-10
+    assert st.mu == solve_mu(sp, 1.0, 1.0)
+    near = gas_state(ModeSpectrum([1.0, 2.0, 3.0], statistics=statistics, particle_target=1.0), 1.0)
+    assert st.mu - w0 == pytest.approx(near.mu - 1.0, abs=1e-9 + 2.0 * np.spacing(w0))
+    assert st.S == pytest.approx(near.S, rel=1e-9)
 
 
 def test_fermi_pauli_bound():

@@ -79,6 +79,20 @@ def test_custom_terms_model():
     assert np.allclose(h.matrix, expect)
 
 
+def test_custom_term_sites_accept_numpy_integers():
+    spec = SpinModelSpec(kind="custom_terms", n_sites=2,
+                         custom_terms=(((np.int64(0), np.int32(1)), "ZZ", 0.5),))
+    assert spec.custom_terms == (((0, 1), "ZZ", 0.5),)
+    assert all(type(s) is int for s in spec.custom_terms[0][0])
+
+
+@pytest.mark.parametrize("site", [0.0, 1.9, np.float64(1.0), "1", True, np.True_])
+def test_custom_term_site_must_be_an_integer(site):
+    # int() would truncate 1.9 to 1 and parse "1"; a bool is not a site
+    with pytest.raises(ValueError, match="is not an integer"):
+        SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((site,), "Z", 0.5),))
+
+
 def test_built_hamiltonians_exactly_hermitian():
     for kind in ("heisenberg", "xy", "transverse_ising"):
         spec = SpinModelSpec(kind=kind, n_sites=3, coupling=0.7, field=0.3)

@@ -1,8 +1,10 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermwit import thermo
 from thermwit import (
@@ -106,14 +108,16 @@ def test_ground_weight_degenerate_level_is_per_state():
        width=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), log10_t=st.floats(-3.0, 3.0))
 def test_rho_t_weights_have_the_bits_of_the_boltzmann_formula(d, seed, width, log10_t):
     # rho_T takes its weights from the grid code; on the basis states they
-    # are exp(-beta (e - e0)) normalized by their sum, bit for bit
+    # are [1, w...] / (1 + rest) with w = exp(-(e - e0)/T) above the ground
+    # level and rest their sum, bit for bit
     e = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, d) * width)
     t = 10.0 ** log10_t
-    direct = np.exp(-(1.0 / t) * (e - e[0]))
-    direct /= direct.sum()
+    w = np.exp(-((e[1:] - e[0]) / t))
+    direct = np.concatenate(([1.0], w)) / (1.0 + np.sum(w))
     basis = np.arange(d)
     ens = thermal_ensemble(SpectralDecomposition(e, ((basis, basis, np.eye(d)),), (d,)), t)
     assert np.array_equal(ens.rho_T.matrix, np.diag(direct))
+    assert ens.rho_T.matrix[0, 0] == ens.p
 
 
 def test_weight_matches_boltzmann_formula():
@@ -261,10 +265,10 @@ def _spectrum(levels, width, ground_copies):
 def test_grid_scalars_equal_one_point_evaluation(levels, width, ground_copies, log10_ts):
     energies = _spectrum(levels, width, ground_copies)
     temps = [10.0 ** x for x in sorted(log10_ts)]
-    s, p = thermo.entropy_and_weight(np.sort(energies) - energies.min(), temps)
-    for t, s_t, p_t in zip(temps, s.tolist(), p.tolist()):
+    s, p, neg_ln_p = thermo.entropy_and_weight(np.sort(energies) - energies.min(), temps)
+    for t, s_t, p_t, q_t in zip(temps, s.tolist(), p.tolist(), neg_ln_p.tolist()):
         reference = point_canonical(energies, t)
-        assert (s_t, p_t) == (reference["S"], reference["p"])
+        assert (s_t, p_t, q_t) == (reference["S"], reference["p"], reference["neg_ln_p"])
         assert math.copysign(1.0, s_t) > 0  # a pure state's S is +0.0, never -0.0
         assert vars(canonical_scalars(energies, t)) == reference
 
@@ -285,3 +289,40 @@ def test_grid_rejects_nonpositive_temperature():
     for bad in ([1.0, 0.0], [math.nan], [0.5, math.inf], [-1.0, 2.0]):
         with pytest.raises(ValueError, match="finite and positive"):
             thermo.entropy_and_weight(levels, bad)
+
+
+def _exact_entropy_and_neg_ln_p(levels, t):
+    """S and -ln p of the float ``levels`` (ascending from 0) at the float
+    temperature ``t``, in 400-digit decimal arithmetic: with rest the
+    Boltzmann weights above the ground level summed, -ln p = ln(1 + rest)
+    and S = -ln p + (U - E0)/t. At 400 digits, 1 + rest keeps over 100
+    digits of a rest as small as 1e-290."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        temp = Decimal(t)
+        excited = [Decimal(x) for x in levels[1:].tolist()]
+        weight = {x: (-x / temp).exp() for x in set(excited)}
+        rest = sum((weight[x] for x in excited), Decimal(0))
+        neg_ln_p = (1 + rest).ln()
+        excess = sum(x * weight[x] for x in excited) / (1 + rest)
+        return neg_ln_p + excess / temp, neg_ln_p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(levels=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16),
+       width=spectra_and_grids["width"], ground_copies=spectra_and_grids["ground_copies"],
+       log10_ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4, unique=True))
+@example(levels=[-3.0, 1.0, 1.0, 1.0], width=1.0, ground_copies=1, log10_ts=[-2.0])
+def test_entropy_and_neg_ln_p_are_accurate_to_the_last_digits(levels, width, ground_copies,
+                                                               log10_ts):
+    # against a 400-digit evaluation on the same float levels. At T = 0.01
+    # the 2-site Heisenberg spectrum (-3, 1, 1, 1) has -ln p = ln(1 + 3e^-400)
+    # = 5.7e-174, which -log(p) rounds to 0, since p rounds to 1
+    energies = _spectrum(levels, width, ground_copies)
+    shifted = np.sort(energies) - energies.min()
+    temps = [10.0 ** x for x in sorted(log10_ts)]
+    s, _, neg_ln_p = thermo.entropy_and_weight(shifted, temps)
+    for t, got in zip(temps, zip(s.tolist(), neg_ln_p.tolist())):
+        for value, exact in zip(got, _exact_entropy_and_neg_ln_p(shifted, t)):
+            if exact > Decimal("1e-290"):
+                assert abs(Decimal(value) - exact) <= Decimal("2e-13") * exact

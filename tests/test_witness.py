@@ -283,6 +283,21 @@ def test_weight_entropy_chain_on_any_spectrum(levels, log10_t, e_lower):
     assert rep.eq2_fires or not rep.eq4_fires
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    levels=st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 4)), min_size=2, max_size=12),
+    width=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    log10_ts=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40, unique=True),
+)
+def test_entropy_is_at_least_neg_ln_p_bit_for_bit_on_every_sweep_row(levels, width, log10_ts):
+    # S = -ln p + (U - E0)/T adds a nonnegative float to -ln p, so eq4 => eq2
+    # holds by construction, without the 1e-9 slack of the row check
+    energies = np.repeat([e * width for e, _ in levels], [g for _, g in levels])
+    h = HermitianOperator(np.diag(energies).astype(complex), (energies.size,))
+    res = sweep(eig_hermitian(h), sorted({10.0 ** x for x in log10_ts}))
+    assert np.all(res.S >= res.neg_ln_p)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n_sites=st.integers(1, 4),
