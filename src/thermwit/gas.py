@@ -1,7 +1,8 @@
 """Ideal bose/fermi/boltzmann gas thermodynamics on a discrete mode spectrum.
 
 Occupations, mode-sum entropy, grand-potential free energy, chemical-potential
-solving, the low-temperature power-law entropy fit with its characteristic
+solving (safeguarded Newton on ln N from the Boltzmann closed form, in a
+bracket whose ends scale with T), the low-temperature power-law entropy fit with its characteristic
 frequency, the resulting critical-temperature estimate, and the
 classical-regime (Maxwell-Boltzmann) non-detection check.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .models import ModeSpectrum
 
-#: Occupancy-sum convergence target for the chemical-potential bisection.
+#: Occupancy-sum convergence target for the chemical-potential solve.
 MU_SOLVE_TOL = 1e-10
 
 #: Arguments above this use the asymptotic tail of the bose occupation.
@@ -88,47 +89,76 @@ def occupation(omega, mu: float, T: float, statistics: str):
 def solve_mu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
     """Chemical potential with total mean occupation ``n_target``: w0 + nu,
     with w0 the lowest frequency and nu from ``_solve_nu``."""
-    return float(spectrum.frequencies[0]) + _solve_nu(spectrum, n_target, T)
+    return float(spectrum.frequencies[0]) + _solve_nu(spectrum, n_target, T)[0]
 
 
-def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
-    """nu = mu - w0 with total mean occupation ``n_target``, found on the
-    frequencies eps = omega - w0, whose spacing, not size, sets how finely
-    nu resolves N.
+def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> tuple[float, np.ndarray]:
+    """nu = mu - w0 with total mean occupation ``n_target``, and the
+    occupations at that nu, found on the frequencies eps = omega - w0 of the
+    m modes, whose spacing, not size, sets how finely nu resolves N.
 
-    Bisection on the strictly increasing map nu -> sum_i n_i(nu). For
-    fermions the Pauli bound requires n_target < number of modes; bosons are
-    bracketed strictly below the lowest frequency. Raises RuntimeError when
-    the nu it finds misses the target.
+    Boltzmann is the closed form nu_B = T (ln N* - ln sum_i e^{-eps_i/T}).
+    Bose and fermi start there and take safeguarded Newton steps on ln N,
+    whose slope comes from the occupations just summed,
+    dN/dnu = sum_i n_i (1 +- n_i) / T: in nu for fermi, in y = ln(-nu) for
+    bose, where near condensation N ~ T/(-nu) makes ln N linear in y. Each
+    sum shrinks the bracket [lo, hi] by the sign of N - N*; a Newton point
+    outside it, or a slope that is not positive, is replaced by the bisection
+    point (the geometric mean of the ends for bose).
+
+    The ends scale with T. Below: for nu <= -T ln 2 every x_i = (eps_i - nu)/T
+    >= ln 2, where e^x - 1 >= e^x / 2, so a bose (and so a fermi) occupation
+    is at most 2 e^{-x_i} <= 2 e^{nu/T}, and N(nu) <= 2 m e^{nu/T}; at
+    lo = min(-T ln 2, T ln(N*/(2m))) that bound gives N(lo) <= N*. Above:
+    bosons stay strictly below the lowest frequency, hi = -1e-12; for
+    fermions each occupation is at least the top mode's, so
+    N(nu) >= m / (1 + e^{(eps_max - nu)/T}), which reaches N* at
+    hi = eps_max + T ln(N*/(m - N*)); the Pauli bound N* < m keeps it finite.
+    Raises RuntimeError when no nu in the bracket meets the target.
     """
     freqs, stats = spectrum.frequencies, spectrum.statistics
     eps = freqs - freqs[0]
-    if stats == "fermi" and n_target >= eps.size:
-        raise ValueError(f"fermi target {n_target} violates the Pauli bound (< {eps.size} modes)")
+    m = eps.size
+    if stats == "fermi" and n_target >= m:
+        raise ValueError(f"fermi target {n_target} violates the Pauli bound (< {m} modes)")
+    # sum_i e^{-(eps_i - nu)/T} = N is exponential in nu: exact for boltzmann,
+    # the starting point for bose (whose root lies below) and fermi (above)
+    nu = T * (math.log(n_target) - math.log(float(np.sum(np.exp(-eps / T)))))
     if stats == "boltzmann":
-        # sum_i e^{-(eps_i - nu)/T} = N is exponential in nu: solve exactly
-        nu = T * (math.log(n_target) - math.log(float(np.sum(np.exp(-eps / T)))))
-        n = float(np.sum(occupation(eps, nu, T, stats)))
+        n_i = occupation(eps, nu, T, stats)
+        n = float(np.sum(n_i))
         if abs(n - n_target) > max(1e-8, 1e-10 * n_target):
             raise RuntimeError(f"occupancy target missed: {n} vs {n_target}")
-        return nu
-    w_max = float(freqs[-1])
-    lo, hi = -1e6 * w_max, (-1e-12 if stats == "bose" else 1e6 * w_max)
-    total = lambda nu: float(np.sum(occupation(eps, nu, T, stats)))
+        return nu, n_i
+    bose = stats == "bose"
+    hi = -1e-12 if bose else float(eps[-1]) + T * math.log(n_target / (m - n_target))
+    lo = min(-T * math.log(2.0), T * math.log(n_target / (2.0 * m)), hi)
     # relative floor: near bose condensation dN/dnu ~ N^2/T, so the absolute
     # target is unreachable in float64 for large N; 1e-11 relative still is
     done = lambda n: abs(n - n_target) <= max(MU_SOLVE_TOL, 1e-11 * n_target)
+    nu_next = min(max(nu, lo), hi)
     for _ in range(500):
-        nu = 0.5 * (lo + hi)
-        n = total(nu)
+        nu = nu_next
+        n_i = occupation(eps, nu, T, stats)
+        n = float(np.sum(n_i))
         if done(n):
-            return nu
+            return nu, n_i
         if n < n_target:
             lo = nu
         else:
             hi = nu
         if hi - lo <= 4 * np.finfo(float).eps * abs(nu):  # relative: |nu| may be << 1
             break
+        slope = float(np.sum(n_i * (1.0 + n_i if bose else 1.0 - n_i))) / T
+        nu_next = math.nan
+        if n > 0 and slope > 0:
+            dnu = (math.log(n_target) - math.log(n)) * n / slope  # Newton step in nu
+            if bose:  # the same step in y = ln(-nu), where dy = dnu / nu
+                nu_next = -math.exp(min(math.log(-nu) + dnu / nu, _LOG_FLOAT_MAX))
+            else:
+                nu_next = nu + dnu
+        if not lo < nu_next < hi:  # also when there is no Newton point (nan)
+            nu_next = -math.sqrt(-lo) * math.sqrt(-hi) if bose else 0.5 * (lo + hi)
     # the last nu tried was not done, or the loop would have returned it
     raise RuntimeError(f"chemical-potential solve did not converge: residual "
                        f"{n - n_target:.3e} at mu - w0 = {nu!r}")
@@ -137,19 +167,20 @@ def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> float:
 def gas_state(spectrum: ModeSpectrum, T: float) -> GasState:
     """Resolve mu (if a particle target is set), then occupations, S and F.
 
-    A solved mu is w0 + nu; the occupations and F are evaluated with nu on
-    omega - w0, since mu rounded to the spacing of w0 would lose nu.
+    A solved mu is w0 + nu; the occupations are those the solve summed at nu,
+    and F is evaluated with nu on omega - w0, since mu rounded to the spacing
+    of w0 would lose nu.
     """
     if not 0 < T < math.inf:
         raise ValueError(f"temperature must be finite and positive, got {T}")
     freqs, stats = spectrum.frequencies, spectrum.statistics
     if spectrum.chemical_potential is not None:
         mu = nu = float(spectrum.chemical_potential)
+        n = occupation(freqs, nu, T, stats)
     else:
-        nu = _solve_nu(spectrum, spectrum.particle_target, T)
+        nu, n = _solve_nu(spectrum, spectrum.particle_target, T)
         mu = float(freqs[0]) + nu
         freqs = freqs - freqs[0]
-    n = occupation(freqs, nu, T, stats)
     return GasState(T=float(T), mu=mu, occupations=n, S=_entropy_from_occupations(n, stats),
                     F=_free_energy(freqs, nu, T, stats), N_actual=float(np.sum(n)))
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermwit import cli, gas
 from thermwit import (
@@ -142,6 +143,63 @@ def test_unreachable_target_is_a_numerical_failure(monkeypatch, capsys):
     spec = "gen:uniform:n_modes=4,omega=1.0,statistics=fermi,particle_target=2.0"
     assert cli.main(["gas-scan", "--spectrum", spec, "--temps", "0.1:1:10"]) == cli.EXIT_NUMERICAL
     assert "numerical failure: chemical-potential solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_bracket_scales_with_temperature(statistics):
+    # a lower end that does not scale with T holds N(lo) above the target here
+    for t in (1e7, 1e12):
+        sp = ModeSpectrum([1.0, 2.0, 3.0], statistics=statistics, particle_target=1.0)
+        assert abs(gas_state(sp, t).N_actual - 1.0) <= gas.MU_SOLVE_TOL
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_gas_scan_reaches_high_temperature(statistics, capsys):
+    spec = f"gen:linear_dispersion:n_modes=3,velocity=1.0,statistics={statistics},particle_target=1.0"
+    code = cli.main(["gas-scan", "--spectrum", spec, "--temps", "0.1:1e7:100:log",
+                     "--fit-window", "0.1:1"])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    spacings=st.lists(st.floats(1e-3, 10.0), max_size=299),
+    log_w0=st.floats(-3.0, 12.0),
+    log_t=st.floats(-4.0, 7.0),
+    statistics=st.sampled_from(["bose", "fermi"]),
+    fill=st.floats(1e-3, 0.999),
+    log_bose_target=st.floats(-3.0, 5.0),
+)
+def test_solved_nu_meets_the_target_on_any_spectrum(spacings, log_w0, log_t, statistics,
+                                                    fill, log_bose_target):
+    freqs = np.cumsum([10.0 ** log_w0] + spacings)
+    # fermi targets sit below the Pauli bound; bose ones reach into condensation
+    target = fill * freqs.size if statistics == "fermi" else 10.0 ** log_bose_target
+    sp = ModeSpectrum(freqs, statistics=statistics, particle_target=target)
+    t = 10.0 ** log_t
+    nu, n = gas._solve_nu(sp, target, t)
+    assert abs(float(np.sum(n)) - target) <= max(gas.MU_SOLVE_TOL, 1e-11 * target)
+    if statistics == "bose":
+        assert nu < 0
+    assert gas_state(sp, t).N_actual == float(np.sum(n))
+
+
+@pytest.mark.parametrize("statistics", ["fermi", "bose"])
+def test_solve_takes_few_occupation_sums(statistics, monkeypatch):
+    # the spectra of perfbench's gas_modes workload, from dilute to condensed
+    sp = make_spectrum("linear_dispersion", statistics=statistics, n_modes=20_000,
+                       velocity=5e-4, particle_target=5000.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return occupation(*args)
+
+    monkeypatch.setattr(gas, "occupation", counted)
+    for t in np.geomspace(1e-3, 2.0, 25):
+        calls.clear()
+        solve_mu(sp, 5000.0, float(t))
+        assert len(calls) <= 10, f"{len(calls)} occupation sums at T={t}"
 
 
 def test_targeted_states_hit_the_target():
