@@ -36,9 +36,10 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-#: What a data subcommand returns: makers of its JSON body and of its CSV
-#: text, so that only the chosen format is built.
-Payload = tuple[Callable[[], dict], Callable[[], str]]
+#: What a data subcommand returns: a maker of its JSON body, so that it is
+#: built only for JSON, and the header, columns and footer rows of its CSV
+#: table (see ``_table``).
+Output = tuple[Callable[[], dict], Sequence[str], Sequence, Sequence[Sequence]]
 
 
 class ConfigError(ValueError):
@@ -53,6 +54,25 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _table(header: Sequence[str], columns: Sequence, footer: Sequence[Sequence] = ()) -> str:
+    """The CSV text of a header, one row per entry of the array columns, and
+    the footer rows. A float array is written with %.12g and a bool array as
+    true/false, the bytes of ``_fmt``; any other column is one ``_fmt`` cell
+    on every row. A table without array columns has one row."""
+    cells, arrays = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            cells.append("%s" if col.dtype == bool else "%.12g")
+            arrays.append(np.where(col, "true", "false").tolist() if col.dtype == bool
+                          else col.tolist())
+        else:
+            cells.append(_fmt(col).replace("%", "%%"))
+    row = ",".join(cells) + "\n"
+    return "".join([",".join(header) + "\n",
+                    *(row % values for values in (zip(*arrays) if arrays else [()])),
+                    *(",".join(map(_fmt, r)) + "\n" for r in footer)])
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +191,17 @@ def load_spectrum(spec: str) -> ModeSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# data subcommands: each returns one Payload
+# data subcommands: each returns one Output
 # ---------------------------------------------------------------------------
 
-def _run_data(args: argparse.Namespace, run: Callable[[argparse.Namespace], Payload]) -> int:
-    """Run a data subcommand and emit its body as JSON or its rows as CSV,
+def _run_data(args: argparse.Namespace, run: Callable[[argparse.Namespace], Output]) -> int:
+    """Run a data subcommand and emit its body as JSON or its table as CSV,
     to ``--out`` or stdout. ``--out`` is checked before any work starts."""
     out = Path(args.out) if args.out else None
     if out and (out.is_dir() or not out.parent.is_dir()):
         raise ConfigError(f"--out {args.out} is a directory or its directory does not exist")
-    body, csv = run(args)
-    text = json.dumps(body(), indent=2) + "\n" if args.format == "json" else csv()
+    body, *table = run(args)
+    text = json.dumps(body(), indent=2) + "\n" if args.format == "json" else _table(*table)
     if out:
         out.write_text(text)
     else:
@@ -193,36 +213,23 @@ def _fw_config(args: argparse.Namespace, stream: str, **kwargs) -> FrankWolfeCon
     return FrankWolfeConfig(max_iter=args.max_iter, seed=child_seed(args.seed, stream), **kwargs)
 
 
-def run_spin_sweep(args: argparse.Namespace) -> Payload:
+def run_spin_sweep(args: argparse.Namespace) -> Output:
     spec = load_model(args.model)
     grid = parse_temps(args.temps)
     fw = _fw_config(args, "spin-sweep-fw") if args.upper else None
     result = witness.sweep(spin_spectrum(spec), grid, fw_config=fw)
+    header = witness.WitnessReport._fields[:-1]  # all but ground_degeneracy
     return lambda: {
         "command": "spin-sweep",
         "seed": args.seed,
         "reports": [r._asdict() for r in result.reports],
         "T_star_eq2": result.T_star_eq2,
         "T_star_eq4": result.T_star_eq4,
-    }, lambda: _sweep_csv(result)
+    }, header, [getattr(result, name) for name in header], [
+        ["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]
 
 
-def _sweep_csv(result: witness.SweepResult) -> str:
-    """The CSV of a sweep: one row per report without its last field,
-    ground_degeneracy, then the thresholds. Each report row is one
-    %-format over the columns; %.12g writes the bytes of ``_fmt``."""
-    row = f"%.12g,%.12g,%.12g,%.12g,{_fmt(result.E_lower)},{_fmt(result.E_upper)},%s,%s\n"
-    verdict = {False: "false", True: "true"}
-    return "".join([
-        ",".join(witness.WitnessReport._fields[:-1]) + "\n",
-        *(row % (t, s, p, q, verdict[eq2], verdict[eq4]) for t, s, p, q, eq2, eq4 in zip(
-            result.T.tolist(), result.S.tolist(), result.p.tolist(),
-            result.neg_ln_p.tolist(), result.eq2_fires.tolist(), result.eq4_fires.tolist())),
-        _csv([["T_star_eq2", result.T_star_eq2], ["T_star_eq4", result.T_star_eq4]]),
-    ])
-
-
-def run_gas_scan(args: argparse.Namespace) -> Payload:
+def run_gas_scan(args: argparse.Namespace) -> Output:
     spectrum = load_spectrum(args.spectrum)
     grid = parse_temps(args.temps)
     states = [gas.gas_state(spectrum, t) for t in grid]
@@ -245,11 +252,10 @@ def run_gas_scan(args: argparse.Namespace) -> Payload:
     fit = gas.fit_entropy_scaling(spectrum, in_window)
     t_star = gas.critical_temperature_estimate(fit, args.energy_per_particle)
     header = ["T", "mu", "S", "F", "N_actual"]
-    state_rows = [[s.T, s.mu, s.S, s.F, s.N_actual] for s in states]
     body = {
         "command": "gas-scan",
         "seed": args.seed,
-        "rows": [dict(zip(header, row)) for row in state_rows],
+        "rows": [{name: getattr(s, name) for name in header} for s in states],
         "fit": {
             "p_fit": fit.exponent,
             "omega_tilde": fit.omega_tilde,
@@ -260,8 +266,8 @@ def run_gas_scan(args: argparse.Namespace) -> Payload:
         },
         "mb": None,
     }
-    rows = [header, *state_rows, ["p_fit", fit.exponent], ["omega_tilde", fit.omega_tilde],
-            ["r_squared", fit.r_squared], ["T_star", t_star]]
+    footer = [["p_fit", fit.exponent], ["omega_tilde", fit.omega_tilde],
+              ["r_squared", fit.r_squared], ["T_star", t_star]]
 
     # classical-regime block, only when the grid reaches the geometric scale;
     # a particle target is always positive, so `or` picks it when it is set
@@ -276,26 +282,18 @@ def run_gas_scan(args: argparse.Namespace) -> Payload:
             "fires_any": fires_any,
             "points": len(classical_ts),
         }
-        rows += [["mb_omega_tilde_g", omega_g], ["mb_fires_any", fires_any]]
-    return _payload(body, rows)
+        footer += [["mb_omega_tilde_g", omega_g], ["mb_fires_any", fires_any]]
+    columns = [np.array([getattr(s, name) for s in states], dtype=float) for name in header]
+    return lambda: body, header, columns, footer
 
 
-def _csv(rows: Sequence[Sequence]) -> str:
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
-
-
-def _payload(body: dict, rows: Sequence[Sequence]) -> Payload:
-    """The payload of a body and CSV rows that are already built."""
-    return lambda: body, lambda: _csv(rows)
-
-
-def _record(args: argparse.Namespace, **fields) -> Payload:
-    """Single-record payload: one CSV row under a header of the field names."""
+def _record(args: argparse.Namespace, **fields) -> Output:
+    """Single-record output: one CSV row of scalar columns under the field names."""
     body = {"command": args.command, "seed": args.seed, **fields}
-    return _payload(body, [list(body), list(body.values())])
+    return lambda: body, list(body), list(body.values()), ()
 
 
-def run_ree(args: argparse.Namespace) -> Payload:
+def run_ree(args: argparse.Namespace) -> Output:
     spectral = spin_spectrum(load_model(args.model))
     psi = ground_state(spectral)
     upper = ree_upper_bound(psi.to_density(), _fw_config(args, "ree-fw", restarts=args.restarts))
@@ -312,7 +310,7 @@ def run_ree(args: argparse.Namespace) -> Payload:
     )
 
 
-def run_energy_witness(args: argparse.Namespace) -> Payload:
+def run_energy_witness(args: argparse.Namespace) -> Output:
     spec = load_model(args.model)
     e0 = float(spin_spectrum(spec).eigenvalues[0])
     seed = child_seed(args.seed, "energy-witness")

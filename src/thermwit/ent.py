@@ -214,9 +214,9 @@ def _alternating_minimum(
     factors = [np.array([s[k] for s in starts], dtype=complex) for k in range(len(dims))]
     vals = np.full(len(starts), np.inf)
     active = np.arange(len(starts))
-    sub = list(factors)  # the active starts' rows
     eyes = [np.eye(dk)[:, None, :, None] for dk in dims]
     for _ in range(_MAX_ROUNDS):
+        sub = [f[active] for f in factors]  # the active starts' rows
         s = active.size
         # right[k]: rows kron(f_{k+1}, ..., f_{n-1}) of this pass's old factors
         right = [np.ones((s, 1))]
@@ -231,18 +231,14 @@ def _alternating_minimum(
             w, vecs = np.linalg.eigh(bra @ basis.transpose(0, 2, 1))
             sub[k] = vecs[:, :, 0]
             left = (left[:, :, None] * sub[k][:, None, :]).reshape(s, -1)
+        for f, g in zip(factors, sub):
+            f[active] = g
         # vals start at inf, so no start stops after its first pass
         moved = np.abs(w[:, 0] - vals[active]) >= _STATIONARITY_TOL
         vals[active] = w[:, 0]
-        if not moved.all():
-            for f, g in zip(factors, sub):
-                f[active] = g
-            active = active[moved]
-            sub = [g[moved] for g in sub]
+        active = active[moved]
         if not active.size:
             break
-    for f, g in zip(factors, sub):
-        f[active] = g
     best = int(np.argmin(vals))
     return float(vals[best]), [f[best].copy() for f in factors]
 

@@ -54,7 +54,6 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("need at least one site")
     if any(d < 2 for d in dims):
         raise ValueError(f"every local dimension must be >= 2, got {dims}")
-    check_dense_size(math.prod(dims))
     return dims
 
 
@@ -101,8 +100,9 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         dims = _check_dims(self.dims)
-        mat = _as_locked_complex(self.matrix)
         d = math.prod(dims)
+        check_dense_size(d)
+        mat = _as_locked_complex(self.matrix)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         _check_hermitian(mat)
@@ -141,9 +141,13 @@ class PureState:
 
     def __post_init__(self) -> None:
         dims = _check_dims(self.dims)
+        d = math.prod(dims)
+        if 16 * d > DENSE_BYTES:  # a vector's bytes, not a d x d operator's
+            raise MemoryError(f"dimension {d} needs {16 * d} bytes per state vector, "
+                              f"over the {DENSE_BYTES}-byte cap")
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         amps.setflags(write=False)
-        if amps.shape != (math.prod(dims),):
+        if amps.shape != (d,):
             raise ValueError(f"amplitude shape {amps.shape} does not match dims {dims}")
         nrm = float(np.linalg.norm(amps))
         if not abs(nrm - 1.0) <= 1e-12:
@@ -153,6 +157,7 @@ class PureState:
 
     def to_density(self) -> DensityOperator:
         """Projector |psi><psi| as a DensityOperator."""
+        check_dense_size(self.amplitudes.size)
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
@@ -261,7 +266,7 @@ def eig_hermitian(a: HermitianOperator) -> SpectralDecomposition:
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product with concatenated site dimensions."""
     dims = a.dims + b.dims
-    _check_dims(dims)
+    check_dense_size(math.prod(dims))
     return HermitianOperator(np.kron(a.matrix, b.matrix), dims)
 
 

@@ -519,36 +519,74 @@ def test_gas_scan_outputs_byte_identical(tmp_path):
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300]) | st.floats(allow_nan=False)
+#: One value of every type ``_fmt`` takes, strings with % format codes among them.
+_CELLS = (st.none() | st.booleans() | st.integers() | _EDGE_FLOATS
+          | st.sampled_from(["%", "%%", "%s", "%(T)s", "50%", "%.12g"]) | st.text("%s.x-", max_size=6))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    rows=st.lists(st.tuples(
+@st.composite
+def _sweep_tables(draw):
+    """A spin-sweep table, built as the CLI builds it, and its rows."""
+    rows = draw(st.lists(st.tuples(
         _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS,
         st.sampled_from([(False, False), (True, False), (True, True)]),  # eq4 => eq2
-    ), min_size=1, max_size=12),
-    e_lower=_EDGE_FLOATS,
-    e_upper=st.none() | _EDGE_FLOATS,
-    t_stars=st.lists(st.none() | st.floats(0.0, 1e300), min_size=2, max_size=2),
-    as_numpy=st.booleans(),
-)
-def test_sweep_csv_matches_the_per_field_formatter(rows, e_lower, e_upper, t_stars, as_numpy):
-    # the row %-format writes the bytes that ",".join(map(_fmt, row)) wrote
-    # for each report, with its verdicts given as numpy or Python bools
+    ), min_size=1, max_size=12))
+    e_lower = draw(_EDGE_FLOATS)
+    e_upper = draw(st.none() | _EDGE_FLOATS)
+    t_stars = draw(st.lists(st.none() | st.floats(0.0, 1e300), min_size=2, max_size=2))
     if None not in t_stars:
         t_stars.sort(reverse=True)  # T*_eq4 <= T*_eq2
-    old_rows = [(t, max(x, y), p, min(x, y), e_lower, e_upper, eq2, eq4)  # -ln p <= S
+    ref_rows = [(t, max(x, y), p, min(x, y), e_lower, e_upper, eq2, eq4)  # -ln p <= S
                 for t, p, x, y, (eq2, eq4) in rows]
-    t, s, p, neg_ln_p, _, _, eq2, eq4 = (np.array(c) if as_numpy else list(c)
-                                         for c in zip(*old_rows))
+    t, s, p, neg_ln_p, _, _, eq2, eq4 = (np.array(c) if draw(st.booleans()) else list(c)
+                                         for c in zip(*ref_rows))
     result = SweepResult(
         T=t, S=s, p=p, neg_ln_p=neg_ln_p, eq2_fires=eq2, eq4_fires=eq4,
         E_lower=e_lower, E_upper=e_upper, ground_degeneracy=1,
         T_star_eq2=t_stars[0], T_star_eq4=t_stars[1],
     )
-    old_rows = [WitnessReport._fields[:-1], *old_rows,
-                ["T_star_eq2", t_stars[0]], ["T_star_eq4", t_stars[1]]]
-    assert cli._sweep_csv(result) == "".join(",".join(map(cli._fmt, r)) + "\n" for r in old_rows)
+    header = WitnessReport._fields[:-1]
+    footer = [["T_star_eq2", t_stars[0]], ["T_star_eq4", t_stars[1]]]
+    return header, [getattr(result, name) for name in header], footer, ref_rows
+
+
+@st.composite
+def _tables(draw):
+    """A table of float, bool and scalar columns in any mix, among them
+    float-only ones shaped like gas-scan's and ones without an array column,
+    with any footer, and its rows."""
+    n_rows = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool", "scalar"]), max_size=7)
+                 | st.just(["float"] * 5))
+    header, columns, cells = [], [], []
+    for i, kind in enumerate(kinds):
+        header.append(f"c{i}")
+        if kind == "scalar":
+            columns.append(draw(_CELLS))
+            cells.append(None)
+            continue
+        values = draw(st.lists(_EDGE_FLOATS if kind == "float" else st.booleans(),
+                               min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=float if kind == "float" else bool))
+        cells.append(values)
+    if all(c is None for c in cells):
+        n_rows = 1
+    ref_rows = [[col if c is None else c[i] for col, c in zip(columns, cells)]
+                for i in range(n_rows)]
+    footer = draw(st.lists(st.lists(_CELLS, max_size=3), max_size=4))
+    return header, columns, footer, ref_rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=_sweep_tables() | _tables())
+def test_sweep_csv_matches_the_per_field_formatter(table):
+    # the one CSV writer writes the bytes that ",".join(map(_fmt, row)) writes
+    # for every row: float and bool array columns, scalar columns of every
+    # type _fmt takes, with or without array columns and footer rows
+    header, columns, footer, ref_rows = table
+    ref_rows = [header, *ref_rows, *footer]
+    assert cli._table(header, columns, footer) == "".join(
+        ",".join(map(cli._fmt, r)) + "\n" for r in ref_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ def test_cut_validation():
         entanglement_entropy_pure(bell_pure(), PartitionCut(frozenset({7})))
 
 
+def test_state_vector_is_held_to_a_vector_byte_limit():
+    # a 13-qubit vector is 128 KiB: it builds and its cuts are computed, but
+    # its 8192 x 8192 projector is over the dense operator cap
+    amps = np.zeros(2 ** 13)
+    amps[[0, -1]] = 1 / math.sqrt(2)  # GHZ
+    psi = PureState(amps, (2,) * 13)
+    assert entanglement_entropy_pure(psi, PartitionCut(frozenset({0}))) == pytest.approx(LN2)
+    with pytest.raises(MemoryError, match="cap"):
+        psi.to_density()
+
+
 # ---------------------------------------------------------------------------
 # cut-maximum lower bound
 # ---------------------------------------------------------------------------
