@@ -49,6 +49,7 @@ from .ent import (
     energy_witness,
     entanglement_entropy_pure,
     ppt_check,
+    ree_bounds,
     ree_lower_bound,
     ree_upper_bound,
 )

@@ -18,14 +18,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gas, thermo, witness
-from .ent import FrankWolfeConfig, energy_witness, ree_lower_bound, ree_upper_bound
+from .ent import FrankWolfeConfig, energy_witness, ree_bounds
 from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian
 from .models import ground_state, make_spectrum, spin_spectrum
 from .seeding import child_seed, named_rng
@@ -295,16 +294,16 @@ def _record(args: argparse.Namespace, **fields) -> Output:
 
 def run_ree(args: argparse.Namespace) -> Output:
     spectral = spin_spectrum(load_model(args.model))
-    psi = ground_state(spectral)
-    upper = ree_upper_bound(psi.to_density(), _fw_config(args, "ree-fw", restarts=args.restarts))
-    est = replace(ree_lower_bound(psi), upper=upper.upper)  # checks lower <= upper
+    lower, upper = ree_bounds(ground_state(spectral),
+                              _fw_config(args, "ree-fw", restarts=args.restarts))
     return _record(
         args,
         E0=float(spectral.eigenvalues[0]),
         ground_degeneracy=spectral.ground_degeneracy,
-        E_lower=est.lower,
-        lower_method=est.method,
-        E_upper=est.upper,
+        E_lower=lower.lower,
+        lower_method=lower.method,
+        E_upper=upper.upper,
+        upper_method=upper.method,
         upper_iterations=upper.iterations,
         upper_converged=upper.converged,
     )
@@ -428,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spin-sweep", help="temperature sweep of both witnesses for a spin model")
     p.add_argument("--model", required=True, help="spin model JSON file")
     p.add_argument("--temps", required=True, help="temperature grid lo:hi:count[:log]")
-    p.add_argument("--upper", action="store_true", help="also compute the REE upper bound")
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    p.add_argument("--upper", action="store_true",
+                   help="also compute the REE upper bound (on 2 sites exact: E_upper = E_lower)")
+    p.add_argument("--max-iter", type=int, default=500, dest="max_iter",
+                   help="Frank-Wolfe iterations for --upper from 3 sites up")
 
     p = sub.add_parser("gas-scan", help="ideal-gas scan: occupations, entropy, scaling fit")
     p.add_argument("--spectrum", required=True,
@@ -441,10 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="energy_per_particle",
                    help="proportionality constant in the E = c*N threshold algebra")
 
-    p = sub.add_parser("ree", help="REE bounds for a spin model's ground state")
+    p = sub.add_parser("ree", help="REE bounds for a spin model's ground state",
+                       epilog="On 2 sites E_upper = E_lower exactly (upper_method "
+                       "pure_bipartite_exact), whatever --restarts, --max-iter and --seed.")
     p.add_argument("--model", required=True)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    p.add_argument("--restarts", type=int, default=4, help="Frank-Wolfe oracle multistarts")
+    p.add_argument("--max-iter", type=int, default=500, dest="max_iter",
+                   help="Frank-Wolfe iterations")
 
     p = sub.add_parser("energy-witness", help="separable-energy witness for a spin model")
     p.add_argument("--model", required=True)

@@ -5,17 +5,21 @@ bounds on the relative entropy of entanglement (REE, relative to the fully
 separable set), the product-state energy witness, and a partial-transpose
 cross-check.
 
-The upper bound is a conditional-gradient (Frank-Wolfe) descent over the
-separable set whose linear oracle is the product-state optimizer
-``closest_product_state``; the lower bound is the maximum single-cut
-entanglement entropy, which keeps the thermal witness sound (any smaller E
-only makes the witness fire less).
+The lower bound is the maximum single-cut entanglement entropy, which keeps
+the thermal witness sound (any smaller E only makes the witness fire less).
+``ree_bounds`` pairs it with an upper bound. For two parties the pair is
+exact: the REE of a pure state equals its entanglement entropy (Vedral &
+Plenio, PRA 57, 1619 (1998)), certified by the separable state that dephases
+psi in its Schmidt basis, sigma* = sum_i lam_i |a_i b_i><a_i b_i|, for which
+S(psi||sigma*) = -sum_i lam_i ln lam_i. From three parties up the upper bound
+is a conditional-gradient (Frank-Wolfe) descent over the separable set whose
+linear oracle is the product-state optimizer ``closest_product_state``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -207,16 +211,18 @@ def _alternating_minimum(
     only lower the objective; multistart mitigates local optima. The starts
     advance together as one stacked batch (one matmul and one batched eigh
     per site), and each leaves the batch on its own stopping rule; extra
-    memory is O(starts * d * max d_k). Ties go to the first start.
+    memory is O(starts * d * max d_k). Ties go to the first start. The
+    active starts' rows live in ``sub`` and go back to ``factors`` only
+    when a start stops and once at the end.
     """
     starts = [] if warm is None else [list(warm)]
     starts.extend(_random_factors(dims, rng) for _ in range(restarts))
     factors = [np.array([s[k] for s in starts], dtype=complex) for k in range(len(dims))]
     vals = np.full(len(starts), np.inf)
     active = np.arange(len(starts))
+    sub = list(factors)  # the active starts' rows; sub[k] is rebound, never written
     eyes = [np.eye(dk)[:, None, :, None] for dk in dims]
     for _ in range(_MAX_ROUNDS):
-        sub = [f[active] for f in factors]  # the active starts' rows
         s = active.size
         # right[k]: rows kron(f_{k+1}, ..., f_{n-1}) of this pass's old factors
         right = [np.ones((s, 1))]
@@ -231,14 +237,18 @@ def _alternating_minimum(
             w, vecs = np.linalg.eigh(bra @ basis.transpose(0, 2, 1))
             sub[k] = vecs[:, :, 0]
             left = (left[:, :, None] * sub[k][:, None, :]).reshape(s, -1)
-        for f, g in zip(factors, sub):
-            f[active] = g
         # vals start at inf, so no start stops after its first pass
         moved = np.abs(w[:, 0] - vals[active]) >= _STATIONARITY_TOL
         vals[active] = w[:, 0]
-        active = active[moved]
-        if not active.size:
-            break
+        if not moved.all():
+            for f, g in zip(factors, sub):
+                f[active] = g
+            active = active[moved]
+            sub = [g[moved] for g in sub]
+            if not active.size:
+                break
+    for f, g in zip(factors, sub):
+        f[active] = g
     best = int(np.argmin(vals))
     return float(vals[best]), [f[best].copy() for f in factors]
 
@@ -361,3 +371,23 @@ def ree_upper_bound(
         iterations=iterations,
         converged=converged,
     )
+
+
+def ree_bounds(
+    psi: PureState, config: FrankWolfeConfig | None = None
+) -> tuple[EntanglementEstimate, EntanglementEstimate]:
+    """The max-cut lower bound on the REE of ``psi`` and an upper estimate
+    that carries both bounds, so building it checks lower <= upper.
+
+    Two parties: the upper estimate is the lower one with ``upper = lower``
+    (method ``pure_bipartite_exact``, the one Schmidt decomposition), the
+    value of the Schmidt-basis certificate; ``config`` is unused, and no
+    density matrix is built. Schmidt weights at or below EIG_CLAMP count as
+    zero here as in the lower bound, so the value may sit below the
+    certificate's by at most 3e-11 nats per dropped weight. Three or more
+    parties: ``ree_upper_bound`` on the projector with ``config``.
+    """
+    lower = ree_lower_bound(psi)
+    if len(psi.dims) == 2:
+        return lower, replace(lower, upper=lower.lower)
+    return lower, replace(ree_upper_bound(psi.to_density(), config), lower=lower.lower)

@@ -17,13 +17,13 @@ separable ground state (E = 0) can never fire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ent import EntanglementEstimate, FrankWolfeConfig, ree_lower_bound, ree_upper_bound
+from .ent import EntanglementEstimate, FrankWolfeConfig, ree_bounds, ree_lower_bound
 from .models import ground_state
 from .qops import SpectralDecomposition
 from .thermo import entropy_and_weight
@@ -240,7 +240,8 @@ def sweep(
 
     The ground-state entanglement bounds are computed once and reused across
     the grid; the REE upper bound is computed only when ``fw_config`` is
-    given, and ``EntanglementEstimate`` checks it against the lower one. The
+    given, by ``ree_bounds``, which checks it against the lower one (on two
+    sites it is exact and ``fw_config`` is unused). The
     threshold temperatures come from ``critical_temperature`` bracketed by
     the grid ends (upper end auto-expanded), so their accuracy is
     ``T_STAR_TOL`` regardless of grid density.
@@ -253,9 +254,7 @@ def sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("temperature grid must be strictly ascending")
     psi = ground_state(spectral)
-    est = ree_lower_bound(psi)
-    if fw_config is not None:
-        est = replace(est, upper=ree_upper_bound(psi.to_density(), fw_config).upper)
+    est = ree_lower_bound(psi) if fw_config is None else ree_bounds(psi, fw_config)[1]
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
     t_stars = tuple(critical_temperature(spectral, kind, est.lower, bracket)
                     for kind in ("eq2", "eq4"))

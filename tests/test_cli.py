@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermwit import SpinModelSpec, cli, models
+from thermwit import SpinModelSpec, cli, ent, models
 from thermwit.ent import EntanglementEstimate
 from thermwit.models import build_spin_hamiltonian, spin_spectrum
 from thermwit.witness import T_STAR_TOL, SweepResult, WitnessReport
@@ -29,6 +29,9 @@ SRC = Path(cli.__file__).resolve().parents[1]
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 HEIS2 = {"kind": "heisenberg", "n_sites": 2}
+#: Three sites with a nondegenerate ground level: its REE upper bound is a
+#: Frank-Wolfe run.
+TFI3 = {"kind": "transverse_ising", "n_sites": 3, "J": 1.0, "h": 1.0}
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -394,16 +397,37 @@ def test_ree_command(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["E_lower"] == pytest.approx(math.log(2), abs=1e-9)
-    assert payload["E_upper"] == pytest.approx(math.log(2), abs=2e-2)
-    assert payload["lower_method"] == "pure_bipartite_exact"
+    assert payload["E_upper"] == payload["E_lower"]
+    assert payload["lower_method"] == payload["upper_method"] == "pure_bipartite_exact"
+    assert (payload["upper_iterations"], payload["upper_converged"]) == (1, True)
+
+
+def test_two_site_ree_runs_no_frank_wolfe(tmp_path, monkeypatch):
+    # the Schmidt certificate needs no projector, no oracle and no descent
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 2-site REE upper bound ran Frank-Wolfe")
+
+    monkeypatch.setattr(ent, "ree_upper_bound", forbidden)
+    monkeypatch.setattr(ent, "_alternating_minimum", forbidden)
+    monkeypatch.setattr(ent.PureState, "to_density", forbidden)
+    model = write_model(tmp_path, HEIS2)
+    ree, sweep = tmp_path / "ree.json", tmp_path / "sweep.json"
+    assert main(["ree", "--model", model, "--format", "json", "--out", str(ree)]) == EXIT_OK
+    assert main(["spin-sweep", "--model", model, "--temps", "1:4:3", "--upper",
+                 "--format", "json", "--out", str(sweep)]) == EXIT_OK
+    payload = json.loads(ree.read_text())
+    assert payload["E_upper"] == payload["E_lower"] == pytest.approx(math.log(2), abs=1e-12)
+    assert payload["upper_method"] == "pure_bipartite_exact"
+    for rep in json.loads(sweep.read_text())["reports"]:
+        assert rep["E_upper"] == rep["E_lower"] == payload["E_lower"]
 
 
 def test_ree_refuses_a_lower_bound_above_the_upper(tmp_path, monkeypatch, capsys):
-    # E_lower of the singlet is ln 2 ~ 0.693; an upper bound of 0.5 breaks the sandwich
-    broken = EntanglementEstimate(lower=0.0, upper=0.5, method="frank_wolfe_upper",
+    # E_lower of this ground state is ~0.341; an upper bound of 0.2 breaks the sandwich
+    broken = EntanglementEstimate(lower=0.0, upper=0.2, method="frank_wolfe_upper",
                                   iterations=1, converged=True)
-    monkeypatch.setattr(cli, "ree_upper_bound", lambda rho, config: broken)
-    code = main(["ree", "--model", write_model(tmp_path, HEIS2)])
+    monkeypatch.setattr(ent, "ree_upper_bound", lambda rho, config: broken)
+    code = main(["ree", "--model", write_model(tmp_path, TFI3)])
     assert code == EXIT_NUMERICAL
     assert "exceeds upper bound" in capsys.readouterr().err
 
@@ -496,15 +520,17 @@ def test_selfcheck_byte_identical_across_runs(capsys):
 
 
 def test_sweep_outputs_byte_identical(tmp_path):
-    model = write_model(tmp_path, HEIS2)
-    outs = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        assert main(["spin-sweep", "--model", model, "--temps", "0.5:5:8",
-                     "--upper", "--max-iter", "50", "--seed", "9",
-                     "--out", str(out)]) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # two sites give the exact upper bound, three a Frank-Wolfe run
+    for spec, max_iter in ((HEIS2, "50"), (TFI3, "5")):
+        model = write_model(tmp_path, spec)
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["spin-sweep", "--model", model, "--temps", "0.5:5:8",
+                         "--upper", "--max-iter", max_iter, "--seed", "9",
+                         "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_gas_scan_outputs_byte_identical(tmp_path):
@@ -610,6 +636,7 @@ SWEEP_ARGS = ["spin-sweep", "--temps", "0.05:6:60"]
     # the product-state oracle's matmul, in the energy witness and in Frank-Wolfe
     ({"kind": "heisenberg", "n_sites": 8, "boundary": "periodic"}, ["energy-witness"]),
     (HEIS2, ["ree", "--max-iter", "20"]),
+    (TFI3, ["ree", "--max-iter", "20"]),
 ])
 def test_csv_independent_of_blas_threads(model, tmp_path):
     # CSV only: JSON prints full precision and moves by ~1e-13 with the threads
@@ -661,6 +688,8 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
         ["spin-sweep", "--model", heis2, "--temps", "1:4:3", "--upper", "--max-iter", "3"],
         ["spin-sweep", "--model", heis2, "--temps", "1:4:3"],
         ["ree", "--model", heis2, "--max-iter", "3", "--restarts", "2"],
+        ["ree", "--model", str(GOLDEN_INPUTS / "tfi3.json"), "--max-iter", "3",
+         "--restarts", "2"],
         ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
          "--fit-window", "0.05:0.3"],
     ]
@@ -680,6 +709,7 @@ def test_runs_without_scipy(tmp_path):
     heis2 = str(GOLDEN_INPUTS / "heis2.json")
     runs = [
         ["spin-sweep", "--model", heis2, "--temps", "1:4:3", "--upper", "--max-iter", "3"],
+        ["ree", "--model", str(GOLDEN_INPUTS / "tfi3.json"), "--max-iter", "3"],
         ["energy-witness", "--model", heis2, "--restarts", "3"],
         ["gas-scan", "--spectrum", BOSE_GEN, "--temps", "0.05:0.3:8:log",
          "--fit-window", "0.05:0.3"],

@@ -19,10 +19,13 @@ from thermwit import (
     energy_witness,
     entanglement_entropy_pure,
     ppt_check,
+    quantum_relative_entropy,
+    ree_bounds,
     ree_lower_bound,
     ree_upper_bound,
     thermal_ensemble,
 )
+from thermwit import ent
 from thermwit.ent import ProductStateAnsatz, _alternating_minimum, _objective_and_gradient
 from conftest import (
     LN2,
@@ -255,6 +258,55 @@ def test_sandwich_on_named_states():
         assert lower <= upper + 1e-6
 
 
+# ---------------------------------------------------------------------------
+# exact two-party REE
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_two_party_upper_is_the_schmidt_dephased_relative_entropy(dims, rng):
+    for _ in range(5):
+        psi = random_pure(rng, dims)
+        u, sv, vh = np.linalg.svd(psi.amplitudes.reshape(dims))
+        lam = sv ** 2
+        atoms = [np.kron(u[:, i], vh[i]) for i in range(sv.size)]
+        sigma = sum(w * np.outer(a, a.conj()) for w, a in zip(lam, atoms))
+        # sigma* is a mixture of product states: weights form a distribution,
+        # every atom is a unit product vector, and the mixture is PPT
+        assert np.all(lam >= 0) and lam.sum() == pytest.approx(1.0, abs=1e-12)
+        for a in atoms:
+            assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.svd(a.reshape(dims), compute_uv=False)[1] <= 1e-12
+        sigma_op = DensityOperator(sigma, dims)
+        assert not ppt_check(sigma_op, PartitionCut(frozenset({0}))).npt
+        lower, upper = ree_bounds(psi)
+        assert upper.upper == upper.lower == lower.lower
+        assert (upper.method, upper.iterations, upper.converged) == (
+            "pure_bipartite_exact", 1, True)
+        relative = quantum_relative_entropy(psi.to_density(), sigma_op)
+        assert abs(relative - upper.upper) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_two_party_exact_value_is_below_frank_wolfe(parts):
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    psi = PureState(amps / norm, (2, 2))
+    exact = ree_bounds(psi)[1].upper
+    assert exact <= ree_upper_bound(psi.to_density(), FrankWolfeConfig(max_iter=5)).upper + 1e-9
+
+
+def test_three_party_bounds_run_frank_wolfe():
+    cfg = FrankWolfeConfig(max_iter=4, restarts=2, seed=3)
+    lower, upper = ree_bounds(ghz_pure(), cfg)
+    fw = ree_upper_bound(ghz_pure().to_density(), cfg)
+    assert lower == ree_lower_bound(ghz_pure())
+    assert (upper.lower, upper.upper) == (lower.lower, fw.upper)
+    assert (upper.method, upper.iterations, upper.converged) == (
+        fw.method, fw.iterations, fw.converged)
+
+
 def test_log_gradient_matches_finite_difference(rng):
     # directional derivative of tr(rho ln sigma), including a degenerate sigma
     rho = bell_pure().to_density().matrix
@@ -341,6 +393,21 @@ def test_batched_oracle_matches_per_start_reference(dims, restarts, with_warm, s
                                           restarts, warm=warm)
     ref_value, _ = loop_alternating_minimum(matrix, dims, np.random.default_rng(seed),
                                             restarts, warm=warm)
+    assert abs(value - ref_value) <= 1e-9
+    prod = ProductStateAnsatz(factors=tuple(factors)).vector()
+    assert abs(np.vdot(prod, matrix @ prod).real - value) <= 1e-10
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_oracle_returns_its_best_factors_when_rounds_run_out(rounds, monkeypatch, rng):
+    # no start can stop within so few rounds, so every row is still active
+    # when the loop ends and must still reach the returned factors
+    monkeypatch.setattr(ent, "_MAX_ROUNDS", rounds)
+    dims = (2, 3, 2)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    matrix = a + a.conj().T
+    value, factors = _alternating_minimum(matrix, dims, np.random.default_rng(4), 5)
+    ref_value, _ = loop_alternating_minimum(matrix, dims, np.random.default_rng(4), 5)
     assert abs(value - ref_value) <= 1e-9
     prod = ProductStateAnsatz(factors=tuple(factors)).vector()
     assert abs(np.vdot(prod, matrix @ prod).real - value) <= 1e-10

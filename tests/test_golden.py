@@ -35,6 +35,8 @@ DATA_CASES = {
                      "--fit-window", "0.05:0.3", "--energy-per-particle", "2.5"],
     "ree_heis2": ["ree", "--model", "heis2.json", "--max-iter", "3", "--restarts", "2",
                   "--seed", "11"],
+    "ree_tfi3": ["ree", "--model", "tfi3.json", "--max-iter", "3", "--restarts", "2",
+                 "--seed", "11"],
     "energy_witness_xy3": ["energy-witness", "--model", "xy3_ring.json",
                            "--restarts", "3", "--seed", "3"],
 }

@@ -17,6 +17,7 @@ from thermwit import (
     ground_state,
     ppt_check,
     ree_lower_bound,
+    ree_upper_bound,
     sweep,
     thermal_ensemble,
 )
@@ -195,10 +196,19 @@ def test_sweep_four_site_ring():
 
 
 def test_sweep_with_upper_bound():
+    # two sites: the bound is exact, whatever the Frank-Wolfe settings
     res = sweep(eig_hermitian(heis(2)), [1.0, 2.0], fw_config=FrankWolfeConfig())
     for rep in res.reports:
-        assert rep.E_upper is not None
-        assert rep.E_lower <= rep.E_upper + 1e-6
+        assert rep.E_upper == rep.E_lower == res.E_lower
+    # three sites: Frank-Wolfe, as ree_upper_bound runs it alone
+    cfg = FrankWolfeConfig(max_iter=4, restarts=2, seed=7)
+    spectral = eig_hermitian(build_spin_hamiltonian(
+        SpinModelSpec(kind="transverse_ising", n_sites=3, coupling=1.0, field=1.0)))
+    res = sweep(spectral, [1.0, 2.0], fw_config=cfg)
+    upper = ree_upper_bound(ground_state(spectral).to_density(), cfg).upper
+    assert res.E_lower < upper
+    for rep in res.reports:
+        assert (rep.E_lower, rep.E_upper) == (res.E_lower, upper)
 
 
 def test_sweep_grid_validation():
