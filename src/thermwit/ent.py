@@ -379,15 +379,18 @@ def ree_bounds(
     """The max-cut lower bound on the REE of ``psi`` and an upper estimate
     that carries both bounds, so building it checks lower <= upper.
 
-    Two parties: the upper estimate is the lower one with ``upper = lower``
-    (method ``pure_bipartite_exact``, the one Schmidt decomposition), the
-    value of the Schmidt-basis certificate; ``config`` is unused, and no
-    density matrix is built. Schmidt weights at or below EIG_CLAMP count as
-    zero here as in the lower bound, so the value may sit below the
-    certificate's by at most 3e-11 nats per dropped weight. Three or more
-    parties: ``ree_upper_bound`` on the projector with ``config``.
+    Two parties: the upper estimate is the lower one (method
+    ``pure_bipartite_exact``) with ``upper`` the value of the Schmidt-basis
+    certificate, -sum lam ln lam over every Schmidt weight lam > 0 from one
+    SVD, but at least ``lower``. The lower bound drops the weights at or
+    below EIG_CLAMP; where it drops none and keeps two or more, as for the
+    singlet, the two are the same float. ``config`` is unused, and no
+    density matrix is built. Three or more parties:
+    ``ree_upper_bound`` on the projector with ``config``.
     """
     lower = ree_lower_bound(psi)
     if len(psi.dims) == 2:
-        return lower, replace(lower, upper=lower.lower)
+        lam = np.linalg.svd(psi.amplitudes.reshape(psi.dims), compute_uv=False) ** 2
+        lam = lam[lam > 0]
+        return lower, replace(lower, upper=max(lower.lower, float(-np.sum(lam * np.log(lam)))))
     return lower, replace(ree_upper_bound(psi.to_density(), config), lower=lower.lower)

@@ -49,13 +49,14 @@ def _boltzmann(levels: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
 
     With p = 1/(1 + rest), the paper's identity S = -ln p + (U - E0)/T gives
     S from two nonnegative terms, so S >= -ln p holds bit for bit, and a
-    weight that underflowed to 0 adds 0. Rows are reduced with ``np.sum``,
-    so each has the bits of a grid of that one temperature.
+    weight that underflowed to 0 adds 0. Rows are reduced with
+    ``ndarray.sum``, so each has the bits of a grid of that one temperature.
     """
-    w = np.exp(-(levels[1:] / temps[:, None]))
-    rest = np.sum(w, axis=1)
+    above = levels[1:]
+    w = np.exp(-(above / temps[:, None]))
+    rest = w.sum(axis=1)
     neg_ln_p = np.log1p(rest)
-    excess = np.sum(levels[1:] * w, axis=1) / (1.0 + rest)
+    excess = (above * w).sum(axis=1) / (1.0 + rest)
     return w, rest, neg_ln_p, excess, neg_ln_p + excess / temps
 
 

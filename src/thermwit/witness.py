@@ -26,7 +26,7 @@ import numpy as np
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_bounds, ree_lower_bound
 from .models import ground_state
 from .qops import SpectralDecomposition
-from .thermo import entropy_and_weight
+from .thermo import _boltzmann, entropy_and_weight
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -123,15 +123,23 @@ def _grid_result(
     spectral: SpectralDecomposition,
     temperatures: Sequence[float],
     e_value: EntanglementEstimate,
-    t_stars: tuple[float | None, float | None] = (None, None),
+    bracket: tuple[float, float] | None = None,
 ) -> SweepResult:
-    """The checked result of one pass over the whole grid."""
+    """The checked result of one pass over the whole grid, with the
+    thresholds bisected from ``bracket`` when one is given (see ``sweep``)."""
     s, p, neg_ln_p = entropy_and_weight(spectral.levels, temperatures)
-    threshold = e_value.lower - GUARD
+    e = float(e_value.lower)
+    t_stars = [None, None]
+    if bracket is not None:
+        known = [-math.inf, *temperatures, math.inf]
+        for k, (kind, q) in enumerate((("eq2", neg_ln_p), ("eq4", s))):
+            i = int(np.append(q >= e, True).argmax())  # first grid point past the crossing
+            t_stars[k] = _crossing(spectral.levels, kind, e, *bracket, T_STAR_TOL,
+                                   known[i], known[i + 1])
     return SweepResult(
         T=temperatures, S=s, p=p, neg_ln_p=neg_ln_p,
-        eq2_fires=neg_ln_p < threshold, eq4_fires=s < threshold,
-        E_lower=float(e_value.lower), E_upper=e_value.upper,
+        eq2_fires=neg_ln_p < e - GUARD, eq4_fires=s < e - GUARD,
+        E_lower=e, E_upper=e_value.upper,
         ground_degeneracy=spectral.ground_degeneracy,
         T_star_eq2=t_stars[0], T_star_eq4=t_stars[1],
     )
@@ -150,26 +158,32 @@ def evaluate_witness(
     return _grid_result(spectral, [temperature], e_value).reports[0]
 
 
-#: Depth of the midpoint heap one bisection round evaluates: 2**5 - 1 = 31
-#: temperatures in one pass, for up to 5 bisection steps.
-_HEAP_DEPTH = 5
+def _crossing(levels: np.ndarray, kind: str, e_lower: float, t_lo: float, t_hi: float,
+              tol: float, a: float = -math.inf, b: float = math.inf) -> float | None:
+    """The bisection of ``critical_temperature``, one temperature per step,
+    for where S (``kind`` "eq4") or -ln p ("eq2") of ``levels`` rises past
+    ``e_lower``.
 
+    The witness fires at a temperature at or below ``a`` and not at one at
+    or above ``b``, with no evaluation; any other temperature is evaluated
+    once by the Boltzmann kernel, whose row has the bits a grid gives it.
+    """
+    def fires(t: float) -> bool:
+        if not a < t < b:
+            return t <= a
+        _, _, neg_ln_p, _, s = _boltzmann(levels, np.array([t]))
+        return (s if kind == "eq4" else neg_ln_p)[0] < e_lower
 
-def _midpoint_heap(t_lo: float, t_hi: float) -> list[float]:
-    """Midpoints of every bracket the bisection can reach from (t_lo, t_hi)
-    in _HEAP_DEPTH steps, as a heap: node i of bracket (a, b) has midpoint
-    m = 0.5 * (a + b), and its children are nodes 2i+1 of (a, m) and 2i+2
-    of (m, b). Each midpoint is the float the bisection computes there."""
-    mids: list[float] = []
-    brackets = [(t_lo, t_hi)]
-    for _ in range(_HEAP_DEPTH):
-        children = []
-        for a, b in brackets:
-            m = 0.5 * (a + b)
-            mids.append(m)
-            children += [(a, m), (m, b)]
-        brackets = children
-    return mids
+    if not fires(t_lo):
+        return None  # never fires at or above t_lo (quantity is nondecreasing)
+    while fires(t_hi):
+        t_hi *= 10.0
+        if t_hi > T_CEILING:
+            return None
+    while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        t_lo, t_hi = (mid, t_hi) if fires(mid) else (t_lo, mid)
+    return 0.5 * (t_lo + t_hi)
 
 
 def critical_temperature(
@@ -187,47 +201,18 @@ def critical_temperature(
     case S(0) = ln g >= e_lower), or when no crossing is found after
     expanding the top of the bracket up to 1e6. Bisection stops at width
     ``tol`` (finite and positive) or when no float lies between the ends;
-    ``e_lower`` must be finite.
-
-    Each round evaluates the midpoint heap of the current bracket in one
-    pass and walks it; since a row of ``entropy_and_weight`` has the bits of
-    that one temperature, every step compares as a per-point bisection does.
+    ``e_lower`` must be finite. Each step evaluates one temperature.
     """
     if kind not in ("eq2", "eq4"):
         raise ValueError(f"kind must be 'eq2' or 'eq4', got {kind!r}")
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not (0 < t_lo < t_hi):
-        raise ValueError(f"invalid bracket {bracket}")
+    if not 0 < t_lo < t_hi < math.inf:
+        raise ValueError(f"bracket must be finite, positive and ascending, got {bracket}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not math.isfinite(e_lower):
         raise ValueError(f"e_lower must be finite, got {e_lower}")
-    if e_lower <= 0:
-        return None
-
-    def quantities(temperatures: list[float]) -> list[float]:
-        s, _, neg_ln_p = entropy_and_weight(spectral.levels, temperatures)
-        return (s if kind == "eq4" else neg_ln_p).tolist()
-
-    if quantities([t_lo])[0] >= e_lower:
-        return None  # never fires at or above t_lo (quantity is nondecreasing)
-    while quantities([t_hi])[0] < e_lower:
-        t_hi *= 10.0
-        if t_hi > T_CEILING:
-            return None
-    mids: list[float] = []
-    fires: list[bool] = []
-    i = 0
-    while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
-        if i >= len(mids):  # walked off the heap: evaluate the next one
-            mids = _midpoint_heap(t_lo, t_hi)
-            fires = [q < e_lower for q in quantities(mids)]
-            i = 0
-        if fires[i]:
-            t_lo, i = mids[i], 2 * i + 2
-        else:
-            t_hi, i = mids[i], 2 * i + 1
-    return 0.5 * (t_lo + t_hi)
+    return _crossing(spectral.levels, kind, e_lower, t_lo, t_hi, tol)
 
 
 def sweep(
@@ -241,10 +226,11 @@ def sweep(
     The ground-state entanglement bounds are computed once and reused across
     the grid; the REE upper bound is computed only when ``fw_config`` is
     given, by ``ree_bounds``, which checks it against the lower one (on two
-    sites it is exact and ``fw_config`` is unused). The
-    threshold temperatures come from ``critical_temperature`` bracketed by
-    the grid ends (upper end auto-expanded), so their accuracy is
-    ``T_STAR_TOL`` regardless of grid density.
+    sites it is exact and ``fw_config`` is unused). The thresholds are
+    bisected as ``critical_temperature`` bisects from the grid ends (upper
+    end auto-expanded), so they have its bits and their accuracy is
+    ``T_STAR_TOL`` regardless of grid density; the grid's own values decide
+    every step outside the cell that holds the crossing.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -256,6 +242,4 @@ def sweep(
     psi = ground_state(spectral)
     est = ree_lower_bound(psi) if fw_config is None else ree_bounds(psi, fw_config)[1]
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
-    t_stars = tuple(critical_temperature(spectral, kind, est.lower, bracket)
-                    for kind in ("eq2", "eq4"))
-    return _grid_result(spectral, grid, est, t_stars)
+    return _grid_result(spectral, grid, est, bracket)

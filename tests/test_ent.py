@@ -286,6 +286,18 @@ def test_two_party_upper_is_the_schmidt_dephased_relative_entropy(dims, rng):
         assert abs(relative - upper.upper) <= 1e-12
 
 
+def test_two_party_upper_counts_every_schmidt_weight():
+    # a Schmidt weight of 1e-13 is below EIG_CLAMP: the lower bound drops it,
+    # the certificate's value -sum lam ln lam keeps it
+    eps = 1e-13
+    psi = PureState(np.array([math.sqrt(1 - eps), 0, 0, math.sqrt(eps)], dtype=complex), (2, 2))
+    lower, upper = ree_bounds(psi)
+    assert lower.lower == upper.lower == 0.0
+    exact = -(1 - eps) * math.log1p(-eps) - eps * math.log(eps)  # 3.0934e-12
+    assert upper.upper == pytest.approx(exact, rel=0, abs=1e-15)
+    assert (upper.method, upper.iterations, upper.converged) == ("pure_bipartite_exact", 1, True)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
 def test_two_party_exact_value_is_below_frank_wolfe(parts):

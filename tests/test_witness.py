@@ -21,6 +21,8 @@ from thermwit import (
     sweep,
     thermal_ensemble,
 )
+from thermwit import thermo, witness
+from thermwit.qops import SpectralDecomposition
 from thermwit.witness import T_CEILING, T_STAR_TOL, SweepResult
 from conftest import LN2, heis2_closed_form, point_report, point_threshold
 
@@ -219,6 +221,87 @@ def test_sweep_grid_validation():
     for bad in ([-1.0, 1.0], [0.5, math.nan], [0.5, math.inf]):
         with pytest.raises(ValueError, match="positive"):
             sweep(eig_hermitian(heis(2)), bad)
+
+
+# ---------------------------------------------------------------------------
+# evaluations per threshold
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The temperatures of every Boltzmann-kernel call, one list per call."""
+    calls = []
+    kernel = thermo._boltzmann
+
+    def counting(levels, temps):
+        calls.append(temps.tolist())
+        return kernel(levels, temps)
+
+    monkeypatch.setattr(thermo, "_boltzmann", counting)
+    monkeypatch.setattr(witness, "_boltzmann", counting)
+    return calls
+
+
+def test_threshold_evaluates_one_temperature_per_bisection_step(kernel_calls):
+    # 4096 levels: a gap of 1 above the ground level, then random levels up to 10
+    rng = np.random.default_rng(4096)
+    e = np.concatenate(([0.0], np.sort(rng.uniform(1.0, 10.0, 4095))))
+    spectral = SpectralDecomposition(
+        e, tuple((np.array([i]), np.array([i]), np.ones((1, 1))) for i in range(e.size)), (e.size,))
+    bracket = (0.01, 10.0)
+    for kind in ("eq2", "eq4"):
+        kernel_calls.clear()
+        t_star = critical_temperature(spectral, kind, 1.0, bracket)
+        assert t_star is not None
+        evaluated = [t for call in kernel_calls for t in call]
+        # both ends, then one per halving of the width until it is below tol
+        assert len(evaluated) <= 3 + math.log2((bracket[1] - bracket[0]) / T_STAR_TOL)
+        assert t_star == point_threshold(spectral, kind, 1.0, bracket, T_STAR_TOL)
+
+
+def test_sweep_evaluates_only_inside_the_grid_cell_of_the_crossing(kernel_calls):
+    spectral = eig_hermitian(heis(4, boundary="periodic"))
+    grid = [float(t) for t in np.geomspace(0.01, 10.0, 100)]
+    res = sweep(spectral, grid)
+    assert kernel_calls[0] == grid
+    steps = [t for call in kernel_calls[1:] for t in call]
+    counted = 0
+    for kind, t_star in (("eq2", res.T_star_eq2), ("eq4", res.T_star_eq4)):
+        assert t_star == point_threshold(spectral, kind, res.E_lower, (grid[0], grid[-1]), T_STAR_TOL)
+        i = int(np.searchsorted(grid, t_star))
+        a, b = grid[i - 1], grid[i]
+        inside = [t for t in steps if a < t < b]
+        assert 0 < len(inside) <= math.ceil(math.log2((b - a) / T_STAR_TOL)) + 2
+        counted += len(inside)
+    assert counted == len(steps)  # nothing evaluated outside the two cells
+
+
+@pytest.mark.parametrize("grid", [
+    [float(t) for t in np.linspace(0.1, 1.0, 5)],  # below both crossings
+    [5.0, 6.0, 7.0],  # above both crossings
+    [1.0],  # one point: the bracket is (1, 10)
+], ids=["below", "above", "one_point"])
+def test_sweep_thresholds_keep_their_bits_on_every_grid(kernel_calls, grid):
+    spectral = eig_hermitian(heis(2))
+    res = sweep(spectral, grid)
+    bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
+    for kind, t_star in (("eq2", res.T_star_eq2), ("eq4", res.T_star_eq4)):
+        assert t_star == point_threshold(spectral, kind, res.E_lower, bracket, T_STAR_TOL)
+    if grid[0] >= 5.0:  # the grid above the crossing: None without a kernel call
+        assert (res.T_star_eq2, res.T_star_eq4) == (None, None)
+        assert kernel_calls == [grid]
+    if len(grid) == 5:  # neither quantity reaches ln 2 on the grid: the top expands to 10
+        assert res.T_star_eq2 > 1.0 and [10.0] in kernel_calls
+
+
+def test_sweep_on_a_product_ground_state_makes_no_kernel_call(kernel_calls):
+    spec = SpinModelSpec(kind="transverse_ising", n_sites=2, coupling=0.0, field=1.0)
+    spectral = eig_hermitian(build_spin_hamiltonian(spec))
+    grid = [0.1, 1.0, 10.0]
+    res = sweep(spectral, grid)
+    assert res.E_lower == 0.0
+    assert (res.T_star_eq2, res.T_star_eq4) == (None, None)
+    assert kernel_calls == [grid]
 
 
 # ---------------------------------------------------------------------------
