@@ -211,16 +211,16 @@ def _alternating_minimum(
     only lower the objective; multistart mitigates local optima. The starts
     advance together as one stacked batch (one matmul and one batched eigh
     per site), and each leaves the batch on its own stopping rule; extra
-    memory is O(starts * d * max d_k). Ties go to the first start. The
-    active starts' rows live in ``sub`` and go back to ``factors`` only
-    when a start stops and once at the end.
+    memory is O(starts * d * max d_k). Each site update goes to ``factors``
+    as it is made; ``sub`` keeps the active rows. The first start within
+    relative 1e-12 of the lowest value wins, whatever the contraction order.
     """
     starts = [] if warm is None else [list(warm)]
     starts.extend(_random_factors(dims, rng) for _ in range(restarts))
     factors = [np.array([s[k] for s in starts], dtype=complex) for k in range(len(dims))]
     vals = np.full(len(starts), np.inf)
     active = np.arange(len(starts))
-    sub = list(factors)  # the active starts' rows; sub[k] is rebound, never written
+    sub = list(factors)  # sub[k] is rebound, never written
     eyes = [np.eye(dk)[:, None, :, None] for dk in dims]
     for _ in range(_MAX_ROUNDS):
         s = active.size
@@ -235,21 +235,18 @@ def _alternating_minimum(
             basis = (eyes[k] * lr).reshape(s, dk, -1)
             bra = (basis.conj().reshape(s * dk, -1) @ matrix).reshape(s, dk, -1)
             w, vecs = np.linalg.eigh(bra @ basis.transpose(0, 2, 1))
-            sub[k] = vecs[:, :, 0]
+            sub[k] = factors[k][active] = vecs[:, :, 0]
             left = (left[:, :, None] * sub[k][:, None, :]).reshape(s, -1)
         # vals start at inf, so no start stops after its first pass
         moved = np.abs(w[:, 0] - vals[active]) >= _STATIONARITY_TOL
         vals[active] = w[:, 0]
         if not moved.all():
-            for f, g in zip(factors, sub):
-                f[active] = g
             active = active[moved]
             sub = [g[moved] for g in sub]
             if not active.size:
                 break
-    for f, g in zip(factors, sub):
-        f[active] = g
-    best = int(np.argmin(vals))
+    lowest = vals.min()
+    best = int(np.argmax(vals <= lowest + 1e-12 * max(1.0, abs(lowest))))
     return float(vals[best]), [f[best].copy() for f in factors]
 
 

@@ -38,11 +38,12 @@ STATISTICS = ("bose", "fermi", "boltzmann")
 CustomTerm = tuple[tuple[int, ...], str, float]
 
 
-def _site_index(site) -> int:
-    """A term's site; a float, string or bool is refused, not truncated or parsed."""
-    if isinstance(site, bool) or not hasattr(site, "__index__"):
-        raise ValueError(f"term site {site!r} is not an integer")
-    return operator.index(site)
+def _integer(value, what: str) -> int:
+    """A count or site index; a float, string or bool is refused, not
+    truncated or parsed."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,7 @@ class SpinModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in SPIN_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {SPIN_KINDS}")
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites"))
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         check_dense_size(2 ** min(self.n_sites, 64))  # 2**64 is over any cap; keeps the int small
@@ -64,11 +66,17 @@ class SpinModelSpec:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
         if not (math.isfinite(self.coupling) and math.isfinite(self.field)):
             raise ValueError(f"coupling {self.coupling} and field {self.field} must be finite")
+        # a value the kind would ignore is refused, not silently dropped
+        if self.field != 0 and self.kind != "transverse_ising":
+            raise ValueError(f"field {self.field} is only used by kind 'transverse_ising'")
         if self.kind == "custom_terms":
+            if self.coupling != 1 or self.boundary != "open":
+                raise ValueError("custom_terms take their couplings and sites from the terms, "
+                                 f"got coupling {self.coupling} and boundary {self.boundary!r}")
             if not self.custom_terms:
                 raise ValueError("custom_terms model needs a nonempty custom_terms list")
             terms = tuple(
-                (tuple(_site_index(s) for s in sites), str(labels).upper(), float(coeff))
+                (tuple(_integer(s, "term site") for s in sites), str(labels).upper(), float(coeff))
                 for sites, labels, coeff in self.custom_terms
             )
             for sites, labels, coeff in terms:

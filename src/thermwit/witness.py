@@ -1,17 +1,17 @@
 """Thermal-state entanglement witnesses and temperature sweeps.
 
 Two one-sided criteria are evaluated against a lower bound E on the
-ground-state relative entropy of entanglement:
+ground-state relative entropy of entanglement, both with the one bound
+E - GUARD (p is the single-ground-state Boltzmann weight):
 
-* ``eq2``: ground-weight form, fires when -ln p < E  (p = single-ground-state
-  Boltzmann weight),
-* ``eq4``: entropy form, fires when S(rho_T) < E.
+* ``eq2``: ground-weight form, fires when -ln p < E - GUARD,
+* ``eq4``: entropy form, fires when S(rho_T) < E - GUARD.
 
-Since -ln p <= S always holds, the entropy form firing implies the
-ground-weight form firing; a report violating that implication is a hard
-failure. Both tests are strict with a small guard band, so ties count as
-"not detected". Firing certifies entanglement; silence proves nothing, and a
-separable ground state (E = 0) can never fire.
+Grid verdicts and threshold bisection steps all use that strict bound, so
+ties count as "not detected" and a threshold T* is where the verdict stops.
+Since -ln p <= S always holds, eq4 firing implies eq2 firing; a report
+violating that is a hard failure. Firing certifies entanglement; silence
+proves nothing, and a separable ground state (E = 0) can never fire.
 """
 
 from __future__ import annotations
@@ -129,18 +129,18 @@ def _grid_result(
     thresholds bisected from ``bracket`` when one is given (see ``sweep``)."""
     s, p, neg_ln_p = entropy_and_weight(spectral.levels, temperatures)
     e = float(e_value.lower)
+    bound = e - GUARD
+    fires = (neg_ln_p < bound, s < bound)
     t_stars = [None, None]
     if bracket is not None:
         known = [-math.inf, *temperatures, math.inf]
-        for k, (kind, q) in enumerate((("eq2", neg_ln_p), ("eq4", s))):
-            i = int(np.append(q >= e, True).argmax())  # first grid point past the crossing
-            t_stars[k] = _crossing(spectral.levels, kind, e, *bracket, T_STAR_TOL,
+        for k, kind in enumerate(("eq2", "eq4")):
+            i = int(np.append(fires[k], False).argmin())  # first grid point that is silent
+            t_stars[k] = _crossing(spectral.levels, kind, bound, *bracket, T_STAR_TOL,
                                    known[i], known[i + 1])
     return SweepResult(
-        T=temperatures, S=s, p=p, neg_ln_p=neg_ln_p,
-        eq2_fires=neg_ln_p < e - GUARD, eq4_fires=s < e - GUARD,
-        E_lower=e, E_upper=e_value.upper,
-        ground_degeneracy=spectral.ground_degeneracy,
+        T=temperatures, S=s, p=p, neg_ln_p=neg_ln_p, eq2_fires=fires[0], eq4_fires=fires[1],
+        E_lower=e, E_upper=e_value.upper, ground_degeneracy=spectral.ground_degeneracy,
         T_star_eq2=t_stars[0], T_star_eq4=t_stars[1],
     )
 
@@ -158,11 +158,11 @@ def evaluate_witness(
     return _grid_result(spectral, [temperature], e_value).reports[0]
 
 
-def _crossing(levels: np.ndarray, kind: str, e_lower: float, t_lo: float, t_hi: float,
+def _crossing(levels: np.ndarray, kind: str, bound: float, t_lo: float, t_hi: float,
               tol: float, a: float = -math.inf, b: float = math.inf) -> float | None:
     """The bisection of ``critical_temperature``, one temperature per step,
-    for where S (``kind`` "eq4") or -ln p ("eq2") of ``levels`` rises past
-    ``e_lower``.
+    for where S (``kind`` "eq4") or -ln p ("eq2") of ``levels`` stops lying
+    below ``bound`` = E_lower - GUARD, the bound of every grid verdict.
 
     The witness fires at a temperature at or below ``a`` and not at one at
     or above ``b``, with no evaluation; any other temperature is evaluated
@@ -172,7 +172,7 @@ def _crossing(levels: np.ndarray, kind: str, e_lower: float, t_lo: float, t_hi: 
         if not a < t < b:
             return t <= a
         _, _, neg_ln_p, _, s = _boltzmann(levels, np.array([t]))
-        return (s if kind == "eq4" else neg_ln_p)[0] < e_lower
+        return (s if kind == "eq4" else neg_ln_p)[0] < bound
 
     if not fires(t_lo):
         return None  # never fires at or above t_lo (quantity is nondecreasing)
@@ -193,12 +193,12 @@ def critical_temperature(
     bracket: tuple[float, float] = (1e-3, 10.0),
     tol: float = T_STAR_TOL,
 ) -> float | None:
-    """Temperature where the monitored quantity crosses ``e_lower``.
+    """Where the quantity stops lying below ``e_lower - GUARD``, every verdict's bound.
 
     ``kind`` selects the quantity: ``"eq4"`` bisects on S(T), ``"eq2"`` on
     -ln p(T); both are nondecreasing in T. Returns None when the witness does
     not fire at the bottom of the bracket (including the degenerate-ground
-    case S(0) = ln g >= e_lower), or when no crossing is found after
+    case S(0) = ln g >= e_lower - GUARD), or when no crossing is found after
     expanding the top of the bracket up to 1e6. Bisection stops at width
     ``tol`` (finite and positive) or when no float lies between the ends;
     ``e_lower`` must be finite. Each step evaluates one temperature.
@@ -212,7 +212,7 @@ def critical_temperature(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not math.isfinite(e_lower):
         raise ValueError(f"e_lower must be finite, got {e_lower}")
-    return _crossing(spectral.levels, kind, e_lower, t_lo, t_hi, tol)
+    return _crossing(spectral.levels, kind, e_lower - GUARD, t_lo, t_hi, tol)
 
 
 def sweep(

@@ -219,26 +219,28 @@ def point_report(spectral, temperature: float, est):
 def point_threshold(spectral, kind: str, e_lower: float, bracket, tol: float):
     """Reference threshold bisection on ``point_canonical``: the steps and
     comparisons of ``witness.critical_temperature``, with its input checks
-    left out."""
-    from thermwit.witness import T_CEILING
+    left out. Like every witness verdict, a step fires when the quantity
+    lies below ``e_lower - GUARD``."""
+    from thermwit.witness import GUARD, T_CEILING
 
     if e_lower <= 0:
         return None
+    bound = e_lower - GUARD
 
     def quantity(t):
         sc = point_canonical(spectral.eigenvalues, t)
         return sc["S"] if kind == "eq4" else sc["neg_ln_p"]
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if quantity(t_lo) >= e_lower:
+    if quantity(t_lo) >= bound:
         return None
-    while quantity(t_hi) < e_lower:
+    while quantity(t_hi) < bound:
         t_hi *= 10.0
         if t_hi > T_CEILING:
             return None
     while t_hi - t_lo >= tol and math.nextafter(t_lo, t_hi) < t_hi:
         mid = 0.5 * (t_lo + t_hi)
-        if quantity(mid) < e_lower:
+        if quantity(mid) < bound:
             t_lo = mid
         else:
             t_hi = mid

@@ -425,6 +425,23 @@ def test_oracle_returns_its_best_factors_when_rounds_run_out(rounds, monkeypatch
     assert abs(np.vdot(prod, matrix @ prod).real - value) <= 1e-10
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-13, 1e-9])
+def test_oracle_breaks_round_off_ties_by_the_lowest_start(delta):
+    # diag(a, 1, 1, a - delta) has two product minima, |00> at a and |11> at
+    # a - delta, and alternating updates reach each one exactly from the
+    # starts nearest it; the warm start (index 0) sits on |00>. Within
+    # relative 1e-12 the first start wins, past it the lower value does.
+    a = 0.5
+    matrix = np.diag([a, 1.0, 1.0, a - delta]).astype(complex)
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    value, factors = _alternating_minimum(matrix, (2, 2), np.random.default_rng(7), 8,
+                                          warm=[e0, e0])
+    winner = 0 if delta <= 1e-12 else 1  # the basis state of both sites
+    assert value == (a if winner == 0 else a - delta)
+    for f in factors:
+        assert np.abs(f[winner]) == 1.0 and f[1 - winner] == 0
+
+
 def test_restarts_below_one_rejected():
     # with no start the alternating optimizer has no factors to return
     for restarts in (0, -1):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -95,7 +96,8 @@ def test_custom_term_site_must_be_an_integer(site):
 
 def test_built_hamiltonians_exactly_hermitian():
     for kind in ("heisenberg", "xy", "transverse_ising"):
-        spec = SpinModelSpec(kind=kind, n_sites=3, coupling=0.7, field=0.3)
+        spec = SpinModelSpec(kind=kind, n_sites=3, coupling=0.7,
+                             field=0.3 if kind == "transverse_ising" else 0.0)
         h = build_spin_hamiltonian(spec)
         assert np.array_equal(h.matrix, h.matrix.conj().T)
 
@@ -138,14 +140,14 @@ def _random_spec(rng, kind, n, boundary):
         # ordered phase it closes exponentially in n, and a ground vector is
         # only determined to about eps * |H| / gap by any eigensolver.
         coupling, field = rng.choice([-1, 1], 2) * (rng.uniform(0.5, 1.0), rng.uniform(1.0, 2.0))
-        return SpinModelSpec(kind=kind, n_sites=n, coupling=float(coupling),
-                             field=float(field), boundary=boundary)
+        return SpinModelSpec(kind=kind, n_sites=n, coupling=float(coupling), boundary=boundary,
+                             field=float(field) if kind == "transverse_ising" else 0.0)
     terms = []
     for _ in range(2 * n):
         k = int(rng.integers(1, min(n, 3) + 1))
         sites = tuple(int(s) for s in rng.choice(n, k, replace=False))
         terms.append((sites, "".join(rng.choice(list("XYZ"), k)), float(rng.normal())))
-    return SpinModelSpec(kind=kind, n_sites=n, custom_terms=tuple(terms), boundary=boundary)
+    return SpinModelSpec(kind=kind, n_sites=n, custom_terms=tuple(terms))  # the terms set the bonds
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -363,6 +365,31 @@ def test_spec_rejects_bad_inputs():
         SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0, 0), "XX", 1.0),))
     with pytest.raises(ValueError, match="only allowed"):
         SpinModelSpec(kind="heisenberg", n_sites=2, custom_terms=(((0,), "X", 1.0),))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "xy", "field": 0.7},
+    {"kind": "heisenberg", "field": -0.1},
+    {"kind": "custom_terms", "field": 0.7},
+    {"kind": "custom_terms", "coupling": 5.0},
+    {"kind": "custom_terms", "boundary": "periodic"},
+])
+def test_spec_rejects_a_value_its_kind_ignores(kwargs):
+    # the xy field would give the field-free xy spectrum bit for bit, and
+    # custom terms carry their own couplings and sites
+    terms = (((0, 1), "ZZ", 1.0),) if kwargs["kind"] == "custom_terms" else None
+    with pytest.raises(ValueError, match="field|coupling"):
+        SpinModelSpec(n_sites=3, custom_terms=terms, **kwargs)
+
+
+@pytest.mark.parametrize("n_sites", [2.9, 3.0, "3", True, np.float64(3.0)])
+def test_spec_n_sites_must_be_an_integer(n_sites):
+    with pytest.raises(ValueError, match=re.escape(f"n_sites {n_sites!r} is not an integer")):
+        SpinModelSpec(kind="heisenberg", n_sites=n_sites)
+
+
+def test_spec_n_sites_accepts_numpy_integers():
+    assert type(SpinModelSpec(kind="heisenberg", n_sites=np.int64(3)).n_sites) is int
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_threshold_ground_weight_form_closed_value():
         assert t_star == pytest.approx(HEIS2_T_STAR_EQ2, abs=1e-3)
 
 
+@pytest.mark.parametrize("d", [1e-13, 1e-12, 3e-12, 1e-11])
+def test_witness_fires_just_below_the_threshold_it_reports(d):
+    # bisected to the float spacing, T* is where the verdict itself stops:
+    # each step compares with E_lower - GUARD, the bound of every verdict
+    spectral = eig_hermitian(heis(2))
+    est = heis2_estimate()
+    t_star = critical_temperature(spectral, "eq2", est.lower, (1.0, 5.0), tol=1e-300)
+    assert evaluate_witness(spectral, t_star - d, est).eq2_fires
+    assert not evaluate_witness(spectral, t_star + d, est).eq2_fires
+
+
 def test_threshold_entropy_form_pins_the_crossing():
     t_star = critical_temperature(
         eig_hermitian(heis(2)), "eq4", LN2, bracket=(0.1, 10.0), tol=1e-6
@@ -414,8 +425,15 @@ def test_sweep_equals_point_by_point_evaluation(n_sites, seed, width, ground_cop
     for t, rep in zip(grid, res.reports, strict=True):
         assert rep == evaluate_witness(spectral, t, est) == point_report(spectral, t, est)
     bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
-    for kind, t_star in (("eq2", res.T_star_eq2), ("eq4", res.T_star_eq4)):
+    for kind, t_star, fires in (("eq2", res.T_star_eq2, res.eq2_fires),
+                                ("eq4", res.T_star_eq4, res.eq4_fires)):
         assert t_star == point_threshold(spectral, kind, est.lower, bracket, 1e-6)
+        # one bound: each column fires below its T* and is silent above it
+        if t_star is None:  # silent at the grid's bottom, or firing up to T_CEILING
+            assert not fires.any() or fires.all()
+        else:
+            assert fires[res.T < t_star - T_STAR_TOL / 2].all()
+            assert not fires[res.T > t_star + T_STAR_TOL / 2].any()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -434,7 +452,7 @@ def test_threshold_equals_point_by_point_bisection(
 ):
     # the spectra of test_sweep_equals_point_by_point_evaluation; brackets
     # that need top expansion, that end at T_CEILING, and whose witness never
-    # fires at the bottom; tol=1e-300 runs to the nextafter stop inside a heap
+    # fires at the bottom; tol=1e-300 runs the bisection to the nextafter stop
     rng = np.random.default_rng(seed)
     d = 2 ** n_sites
     e = np.sort(rng.uniform(-1.0, 1.0, d)) * width
