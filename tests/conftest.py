@@ -6,8 +6,8 @@ import string
 import numpy as np
 import pytest
 
-from thermwit import DensityOperator, PureState, models, spin_spectrum
-from thermwit.qops import _eig_blocks
+from thermwit import DensityOperator, PureState, models, qops, spin_spectrum
+from thermwit.qops import EIG_CLAMP, _eig_blocks
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -126,6 +126,34 @@ def solve_recording_blocks(spec):
         mp.setattr(models, "_eig_blocks",
                    lambda blocks, dims: handed.extend(blocks) or _eig_blocks(blocks, dims))
         return spin_spectrum(spec), handed
+
+
+def eigh_sizes(solve, *args, split: bool = True):
+    """``solve(*args)`` and the row counts of the matrices it hands to
+    ``np.linalg.eigh``. With ``split=False`` the cutoff ``qops.SPLIT_ROWS``
+    is raised past every block, so each block goes to ``eigh`` whole."""
+    sizes, eigh = [], np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        if not split:
+            mp.setattr(qops, "SPLIT_ROWS", math.inf)
+        mp.setattr(np.linalg, "eigh", lambda a, *rest: sizes.append(len(a)) or eigh(a, *rest))
+        return solve(*args), sizes
+
+
+def loop_cut_entropies(psi: PureState, sides) -> list[float]:
+    """Reference entanglement entropy across each cut (sorted site tuples):
+    one SVD call per cut, with the Schmidt-weight rule of
+    ``thermwit.ent._cut_entropies``."""
+    n = len(psi.dims)
+    tensor = psi.amplitudes.reshape(psi.dims)
+    out = []
+    for side in sides:
+        rows = math.prod(psi.dims[j] for j in side)
+        mat = tensor.transpose(side + tuple(j for j in range(n) if j not in side))
+        lam = np.linalg.svd(mat.reshape(rows, -1), compute_uv=False) ** 2
+        lam = lam[lam > EIG_CLAMP]
+        out.append(0.0 if lam.size == 1 else float(-np.sum(lam * np.log(lam))))
+    return out
 
 
 def bloch_grid_extreme(op4x4: np.ndarray, mode: str, n_theta: int = 180, n_phi: int = 180):

@@ -36,6 +36,7 @@ from conftest import (
     bloch_grid_extreme,
     ghz_pure,
     loop_alternating_minimum,
+    loop_cut_entropies,
     random_pure,
     w_pure,
 )
@@ -149,6 +150,32 @@ def test_lower_bound_equals_the_largest_single_cut(rng):
     assert ree_lower_bound(ghz_pure()).lower == pytest.approx(LN2, abs=1e-12)
     lower = ree_lower_bound(product).lower
     assert lower == 0.0 and math.copysign(1.0, lower) == 1.0  # exactly +0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.one_of(st.integers(2, 9).map(lambda n: (2,) * n),
+                   st.lists(st.integers(2, 4), min_size=2, max_size=5).map(tuple)),
+    support=st.sampled_from([None, 1, 2]),
+    per_stack=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_cut_svds_equal_one_cut_at_a_time(dims, support, per_stack, seed):
+    # every cut, with site 0 on either side, so that several shapes share
+    # a call; ``support`` nonzero amplitudes make product cuts (exactly 0.0),
+    # and ``per_stack`` matrices per stack split a shape into several calls
+    rng = np.random.default_rng(seed)
+    psi = random_pure(rng, dims)
+    if support is not None:
+        amps = np.zeros(psi.amplitudes.size, dtype=complex)
+        amps[rng.choice(amps.size, support, replace=False)] = 1 / math.sqrt(support)
+        psi = PureState(amps, dims)
+    n = len(dims)
+    sides = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n - 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        if per_stack is not None:
+            mp.setattr(ent, "_STACK_BYTES", per_stack * psi.amplitudes.nbytes)
+        assert ent._cut_entropies(psi, sides) == loop_cut_entropies(psi, sides)
 
 
 def test_lower_bound_memory_does_not_grow_with_the_cut_count(rng):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -11,16 +12,26 @@ from thermwit import (
     SpectralDecomposition,
     SpinModelSpec,
     build_spin_hamiltonian,
+    cli,
     eig_hermitian,
     ground_state,
     make_spectrum,
     models,
+    qops,
     ree_lower_bound,
     spin_spectrum,
 )
 from thermwit.models import SPIN_KINDS, chain_bonds
 from thermwit.qops import DEGENERACY_TOL
-from conftest import SX, SY, SZ, kron_hamiltonian, pauli_string, solve_recording_blocks
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    eigh_sizes,
+    kron_hamiltonian,
+    pauli_string,
+    solve_recording_blocks,
+)
 
 
 def heis(n, J=1.0, boundary="open"):
@@ -332,6 +343,102 @@ def test_canonical_ground_vector_is_frame_independent():
     reference = ground_state(eig_hermitian(h))
     assert np.max(np.abs(psi.amplitudes - reference.amplitudes)) <= 1e-10
     assert abs(ree_lower_bound(psi).lower - ree_lower_bound(reference).lower) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# flip-symmetric blocks
+# ---------------------------------------------------------------------------
+
+def ground_projector(dec):
+    vecs = dec.columns(dec.ground_degeneracy)
+    return vecs @ vecs.conj().T
+
+
+def has_flip_parity(vec):
+    """The vector is even or odd under the global spin flip, bit for bit."""
+    return np.array_equal(vec[::-1], vec) or np.array_equal(vec[::-1], -vec)
+
+
+@pytest.mark.parametrize("spec", [
+    # transverse-Ising rows are one flip-closed block; the Sz = 0 sector of a
+    # 10-site Heisenberg or xy ring is one of 252 rows
+    SpinModelSpec(kind="transverse_ising", n_sites=8, field=1.3, boundary="periodic"),
+    SpinModelSpec(kind="transverse_ising", n_sites=9, coupling=-0.7, field=1.1),
+    SpinModelSpec(kind="transverse_ising", n_sites=10, field=1.0, boundary="periodic"),
+    SpinModelSpec(kind="heisenberg", n_sites=10, boundary="periodic"),
+    SpinModelSpec(kind="xy", n_sites=10, coupling=0.8, boundary="periodic"),
+], ids=lambda spec: f"{spec.kind}{spec.n_sites}_{spec.boundary}")
+def test_flip_split_matches_the_plain_eigensolver(spec, tmp_path, capsys):
+    split, sizes = eigh_sizes(spin_spectrum, spec)
+    plain, whole = eigh_sizes(spin_spectrum, spec, split=False)
+    largest = max(whole)
+    assert largest > qops.SPLIT_ROWS and largest // 2 in sizes and largest not in sizes
+    scale = max(1.0, abs(plain.eigenvalues[0]))
+    assert np.max(np.abs(split.eigenvalues - plain.eigenvalues)) <= 1e-12 * scale
+    assert split.ground_degeneracy == plain.ground_degeneracy
+    assert np.max(np.abs(ground_projector(split) - ground_projector(plain))) <= 1e-10
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": spec.kind, "n_sites": spec.n_sites,
+                                 "J": spec.coupling, "h": spec.field,
+                                 "boundary": spec.boundary}))
+    csv = []
+    for cutoff in (qops.SPLIT_ROWS, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qops, "SPLIT_ROWS", cutoff)
+            assert cli.main(["spin-sweep", "--model", str(model), "--temps", "0.05:6:60"]) == 0
+        csv.append(capsys.readouterr().out.splitlines())
+    # the T* rows and every verdict are the same bytes; a level that moves by
+    # 1e-15 can still flip the 12th digit of a cell (one cell of the 8- and
+    # the 10-site transverse-Ising rings here)
+    assert csv[0][-2:] == csv[1][-2:]
+    for split_row, plain_row in zip(*csv, strict=True):
+        for a, b in zip(split_row.split(","), plain_row.split(","), strict=True):
+            assert a == b or math.isclose(float(a), float(b), rel_tol=1e-11, abs_tol=0)
+
+
+def test_flip_split_leaves_other_blocks_whole(rng):
+    # the 10-site chain of the benchmark: Y and Z fields join all 1024 rows
+    # into one block, and the Z fields break the flip symmetry; and the
+    # 128 rows of the 7-site transverse-Ising ring, at the cutoff
+    n = 10
+    terms = [((i, i + 1), p + p, float(rng.uniform(0.5, 1.5))) for i in range(n - 1) for p in "XYZ"]
+    terms += [((i,), "Y", float(rng.uniform(0.2, 0.6))) for i in range(n)]
+    terms += [((i,), "Z", float(rng.uniform(-0.5, 0.5))) for i in range(n)]
+    for spec, rows in (
+            (SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms)), 1024),
+            (SpinModelSpec(kind="transverse_ising", n_sites=7, field=1.0, boundary="periodic"),
+             128)):
+        split, sizes = eigh_sizes(spin_spectrum, spec)
+        plain, _ = eigh_sizes(spin_spectrum, spec, split=False)
+        assert sizes == [rows]
+        assert np.array_equal(split.eigenvalues, plain.eigenvalues)
+        assert np.array_equal(split.eigenvectors, plain.eigenvectors)
+
+
+def test_near_degenerate_ring_has_a_ground_vector_of_exact_flip_parity():
+    # a ground gap of 4.7e-9, just above DEGENERACY_TOL: one eigh of all 1024
+    # rows fixes the ground vector only to about eps * |H| / gap and mixes in
+    # the other parity sector at about 7e-7; each half holds one sector
+    spec = SpinModelSpec(kind="transverse_ising", n_sites=10, coupling=-0.8532634633370562,
+                         field=0.1407478214169502, boundary="periodic")
+    dec = spin_spectrum(spec)
+    assert dec.ground_degeneracy == 1 and DEGENERACY_TOL < dec.levels[1] < 1e-8
+    assert has_flip_parity(ground_state(dec).amplitudes)
+
+
+def test_ground_doublet_across_both_parity_sectors_matches_the_plain_eigensolver():
+    # deep in the ordered phase the even and odd ground states are split by
+    # far less than DEGENERACY_TOL: one ground level of two, one per sector
+    spec = SpinModelSpec(kind="transverse_ising", n_sites=10, field=0.05, boundary="periodic")
+    split = spin_spectrum(spec)
+    plain, _ = eigh_sizes(spin_spectrum, spec, split=False)
+    assert split.ground_degeneracy == plain.ground_degeneracy == 2
+    pair = split.columns(2)
+    assert all(has_flip_parity(v) for v in pair.T)
+    assert np.array_equal(pair[::-1, 0], pair[:, 0]) != np.array_equal(pair[::-1, 1], pair[:, 1])
+    assert np.max(np.abs(ground_projector(split) - ground_projector(plain))) <= 1e-10
+    psi, reference = ground_state(split).amplitudes, ground_state(plain).amplitudes
+    assert np.max(np.abs(psi - reference)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

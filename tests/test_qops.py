@@ -5,6 +5,7 @@ import pytest
 
 from thermwit import (
     DensityOperator,
+    qops,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
@@ -24,6 +25,7 @@ from conftest import (
     SX,
     SZ,
     bell_pure,
+    eigh_sizes,
     loop_partial_trace,
     random_density,
     random_pure,
@@ -220,6 +222,47 @@ def test_eig_deterministic_output():
     a = eig_hermitian(op(mat, (2, 2)))
     b = eig_hermitian(op(mat, (2, 2)))
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def centrosymmetric(rng, d, real=False):
+    """A random Hermitian d x d matrix that equals itself reversed along both
+    axes: A + JAJ, with J the order-reversing permutation."""
+    a = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
+    a = a + a.conj().T
+    return a + a[::-1, ::-1]
+
+
+@pytest.mark.parametrize("d, real", [(130, False), (258, True)])
+def test_flip_split_diagonalizes_a_centrosymmetric_block(d, real, rng):
+    h = op(centrosymmetric(rng, d, real), (d,))
+    dec, sizes = eigh_sizes(eig_hermitian, h)
+    assert sizes == [d // 2, d // 2]
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(h.matrix))) <= 1e-12 * d
+    vecs = dec.eigenvectors
+    assert np.max(np.abs((vecs * dec.eigenvalues) @ vecs.conj().T - h.matrix)) <= 1e-12 * d
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-12 * d
+    # each column is even or odd under J bit for bit, half of them each
+    even = [np.array_equal(v[::-1], v) for v in vecs.T]
+    odd = [np.array_equal(v[::-1], -v) for v in vecs.T]
+    assert all(np.logical_or(even, odd)) and sum(even) == sum(odd) == d // 2
+
+
+def test_flip_split_needs_an_even_centrosymmetric_block_above_the_cutoff(rng):
+    # an odd block of 3**5 rows, blocks at and below the cutoff, and an even
+    # block above it that is Hermitian but not centrosymmetric all go to one
+    # eigh call, with the bits of the unsplit solver
+    lopsided = centrosymmetric(rng, 130)
+    lopsided[0, 0] += 1.0
+    for mat, dims in ((centrosymmetric(rng, 243), (3,) * 5),
+                      (centrosymmetric(rng, 128), (2,) * 7),
+                      (centrosymmetric(rng, 36, real=True), (6, 6)),
+                      (lopsided, (130,))):
+        h = op(mat, dims)
+        dec, sizes = eigh_sizes(eig_hermitian, h)
+        plain, _ = eigh_sizes(eig_hermitian, h, split=False)
+        assert sizes == [h.dim]
+        assert np.array_equal(dec.eigenvalues, plain.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, plain.eigenvectors)
 
 
 def test_spectral_frame_rotates_columns_back(rng):
