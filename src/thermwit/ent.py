@@ -30,6 +30,7 @@ from .qops import (
     EIG_CLAMP,
     HermitianOperator,
     PureState,
+    _STACK_BYTES,
     partial_transpose,
     von_neumann_entropy,
 )
@@ -50,10 +51,6 @@ _MAX_ROUNDS = 200
 
 #: Frank-Wolfe stops once its duality gap falls below this.
 _FW_GAP_TOL = 1e-4
-
-#: Byte size of one stack of cut matrices, so that the stacked SVDs of the
-#: max-cut bound need no more memory at 12 sites than at 4.
-_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

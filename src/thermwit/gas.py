@@ -114,7 +114,12 @@ def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> tuple[float,
     fermions each occupation is at least the top mode's, so
     N(nu) >= m / (1 + e^{(eps_max - nu)/T}), which reaches N* at
     hi = eps_max + T ln(N*/(m - N*)); the Pauli bound N* < m keeps it finite.
-    Raises RuntimeError when no nu in the bracket meets the target.
+
+    Where one float step of nu moves N by more than the target allows, no
+    float nu may meet it. Once the bracket has closed to 4 eps |nu|, the nu
+    evaluated with the smallest residual is returned if that residual is at
+    most dN/dnu times the float spacing of nu. Otherwise, and when no nu in
+    the bracket meets the target, RuntimeError is raised.
     """
     freqs, stats = spectrum.frequencies, spectrum.statistics
     eps = freqs - freqs[0]
@@ -136,7 +141,7 @@ def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> tuple[float,
     # relative floor: near bose condensation dN/dnu ~ N^2/T, so the absolute
     # target is unreachable in float64 for large N; 1e-11 relative still is
     done = lambda n: abs(n - n_target) <= max(MU_SOLVE_TOL, 1e-11 * n_target)
-    nu_next = min(max(nu, lo), hi)
+    nu_next, best = min(max(nu, lo), hi), (math.inf,)  # best: (|N - N*|, nu, dN/dnu, n_i)
     for _ in range(500):
         nu = nu_next
         n_i = occupation(eps, nu, T, stats)
@@ -147,9 +152,16 @@ def _solve_nu(spectrum: ModeSpectrum, n_target: float, T: float) -> tuple[float,
             lo = nu
         else:
             hi = nu
-        if hi - lo <= 4 * np.finfo(float).eps * abs(nu):  # relative: |nu| may be << 1
-            break
         slope = float(np.sum(n_i * (1.0 + n_i if bose else 1.0 - n_i))) / T
+        if abs(n - n_target) < best[0]:
+            best = (abs(n - n_target), nu, slope, n_i)
+        if hi - lo <= 4 * np.finfo(float).eps * abs(nu):  # relative: |nu| may be << 1
+            # no float nu may meet the target when one float step of nu moves
+            # N by more; the nu of smallest residual stands if one step covers it
+            residual, nu_best, slope_best, n_best = best
+            if residual <= slope_best * np.spacing(abs(nu_best)):
+                return nu_best, n_best
+            break
         nu_next = math.nan
         if n > 0 and slope > 0:
             dnu = (math.log(n_target) - math.log(n)) * n / slope  # Newton step in nu

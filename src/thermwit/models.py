@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import (
-    HermitianOperator,
-    PureState,
-    SpectralDecomposition,
-    _check_hermitian,
-    _eig_blocks,
-    _fix_phases,
-    check_dense_size,
-)
+from .qops import (HermitianOperator, PureState, SpectralDecomposition, _check_hermitian,
+                   _eig_blocks, _fix_phases, check_dense_size)
 from .seeding import named_rng
 
 SPIN_KINDS = ("heisenberg", "xy", "transverse_ising", "custom_terms")
@@ -188,12 +181,30 @@ def _amplitudes(spec: SpinModelSpec) -> dict[int, np.ndarray]:
     return table
 
 
+def _submatrices(table: dict[int, np.ndarray],
+                 components: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, submatrix) of each component, ascending rows the table never
+    leaves: entry (s ^ flip, s) is amp[s], one pass per flip into one buffer."""
+    sizes = np.array([rows.size for rows in components])
+    ends = np.cumsum(sizes ** 2)
+    every = np.concatenate(components)
+    pos = np.arange(every.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # in its block
+    col, row = np.empty((2, every.size), np.intp)
+    col[every] = np.repeat(ends - sizes ** 2, sizes) + pos  # flat index of entry (first row, s)
+    row[every] = np.repeat(sizes, sizes) * pos  # offset of row s from its block's first row
+    lone = len(components) == 1  # its block is then the buffer, which owns its data
+    buf = np.zeros((every.size,) * 2 if lone else ends[-1], np.result_type(*table.values()))
+    for flip, amp in table.items():
+        s = np.flatnonzero(amp)
+        buf.reshape(-1)[col[s] + row[s ^ flip]] = amp[s]  # a view: the writes land in buf
+    return [(components[0], buf)] if lone else [
+        (rows, buf[end - rows.size ** 2:end].reshape(rows.size, rows.size))
+        for rows, end in zip(components, ends)]
+
+
 def build_spin_hamiltonian(spec: SpinModelSpec) -> HermitianOperator:
-    """The dense Hamiltonian, written from ``_amplitudes``."""
-    states = np.arange(2 ** spec.n_sites)
-    h = np.zeros((states.size, states.size), dtype=np.complex128)
-    for flip, amp in _amplitudes(spec).items():
-        h[states ^ flip, states] = amp
+    """The dense Hamiltonian: the one component of all 2**n rows (``_submatrices``)."""
+    [(_, h)] = _submatrices(_amplitudes(spec), [np.arange(2 ** spec.n_sites)])
     h.setflags(write=False)  # the operator then keeps this array instead of a copy
     return HermitianOperator(h, (2,) * spec.n_sites)
 
@@ -214,12 +225,8 @@ def _blocks(table: dict[int, np.ndarray], dim: int) -> list[tuple[np.ndarray, np
         for s, flip in links:
             label[s] = np.minimum(label[s], label[s ^ flip])
         label = label[label]  # a label is never above its index, so this only lowers it
-    amps = np.stack([*table.values(), np.zeros(dim)])  # the last row: every absent flip
-    row_of = np.full(dim, len(table))
-    row_of[list(table)] = np.arange(len(table))
     order = np.argsort(label, kind="stable")  # grouped by component, ascending within
-    return [(rows, amps[row_of[rows[:, None] ^ rows], rows])
-            for rows in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
+    return _submatrices(table, np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
 def spin_spectrum(spec: SpinModelSpec) -> SpectralDecomposition:

@@ -43,6 +43,11 @@ SUPPORT_TOL = 1e-10
 #: calls cost more than one; up to 128, every golden output keeps its bits.
 SPLIT_ROWS = 128
 
+#: Byte size of one stack of scratch work: the column magnitudes of
+#: ``_fix_phases``, the cut matrices of the max-cut bound. Scratch memory then
+#: does not grow with the system.
+_STACK_BYTES = 1 << 20
+
 
 def check_dense_size(dim: int) -> None:
     """Raise ``MemoryError`` when a dense complex ``dim`` x ``dim`` matrix
@@ -237,9 +242,15 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Deterministic gauge: largest-magnitude component real positive.
 
     Ties resolve to the lowest index, so results are byte-stable for
-    identical inputs. Scales the (nonzero) columns of ``vecs`` in place.
+    identical inputs. Scales the (nonzero) columns of ``vecs`` in place. The
+    largest entries are found one stack of columns at a time, whose
+    magnitudes take at most _STACK_BYTES, not an m x m temporary.
     """
-    a = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    top = np.empty(vecs.shape[1], np.intp)
+    step = max(1, _STACK_BYTES // (8 * len(vecs)))  # float64 magnitudes per stack
+    for j in range(0, top.size, step):
+        np.argmax(np.abs(vecs[:, j:j + step]), axis=0, out=top[j:j + step])
+    a = vecs[top, np.arange(top.size)]
     vecs *= a.conj() / np.abs(a)
     return vecs
 

@@ -2,6 +2,7 @@
 
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ def solve_recording_blocks(spec):
         mp.setattr(models, "_eig_blocks",
                    lambda blocks, dims: handed.extend(blocks) or _eig_blocks(blocks, dims))
         return spin_spectrum(spec), handed
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak, in bytes, of the memory tracemalloc sees
+    it allocate (numpy's buffers included) above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
 
 
 def eigh_sizes(solve, *args, split: bool = True):

@@ -184,6 +184,37 @@ def test_solved_nu_meets_the_target_on_any_spectrum(spacings, log_w0, log_t, sta
     assert gas_state(sp, t).N_actual == float(np.sum(n))
 
 
+def _within_a_float_step(nu, n, target, T):
+    """The solve's acceptance: the target met, or missed by no more than one
+    float step of nu moves the fermi N."""
+    residual = abs(float(np.sum(n)) - target)
+    slope = float(np.sum(n * (1.0 - n))) / T
+    return residual <= max(gas.MU_SOLVE_TOL, 1e-11 * target) or residual <= slope * np.spacing(abs(nu))
+
+
+def test_target_finer_than_a_float_step_of_nu():
+    # near nu = 50 one float step moves N by about 1.5e-9, above MU_SOLVE_TOL:
+    # no float nu meets the target, and the closest one evaluated stands
+    sp = ModeSpectrum(10.0 * np.arange(1.0, 11.0), "fermi", particle_target=5.3)
+    nu, n = gas._solve_nu(sp, 5.3, 1e-6)
+    assert abs(float(np.sum(n)) - 5.3) > gas.MU_SOLVE_TOL
+    assert _within_a_float_step(nu, n, 5.3, 1e-6)
+    assert gas_state(sp, 1e-6).mu == 10.0 + nu
+
+
+def test_fermi_solve_on_random_spectra():
+    # in 64 of these 3000 the bracket closes within a few float steps of nu
+    # unmet, as each step moves N by more than MU_SOLVE_TOL
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        m = int(rng.integers(2, 301))
+        scale, t = 10.0 ** rng.uniform(-3, 4), 10.0 ** rng.uniform(-6, 3)
+        freqs = scale * rng.uniform(0.01, 1.0, m)
+        target = float(rng.uniform(0.01, 0.99)) * m
+        nu, n = gas._solve_nu(ModeSpectrum(freqs, "fermi", particle_target=target), target, t)
+        assert _within_a_float_step(nu, n, target, t)
+
+
 @pytest.mark.parametrize("statistics", ["fermi", "bose"])
 def test_solve_takes_few_occupation_sums(statistics, monkeypatch):
     # the spectra of perfbench's gas_modes workload, from dilute to condensed

@@ -31,6 +31,7 @@ from conftest import (
     kron_hamiltonian,
     pauli_string,
     solve_recording_blocks,
+    traced_peak,
 )
 
 
@@ -141,6 +142,15 @@ def test_periodic_spectrum_translation_invariant():
 
 
 def _random_spec(rng, kind, n, boundary):
+    if kind == "no_field":  # diagonal: every block is 1 x 1
+        return SpinModelSpec(kind="transverse_ising", n_sites=n, boundary=boundary,
+                             coupling=float(rng.uniform(0.5, 1.5)))
+    if kind == "hopping":  # XX + YY cancel on |00> <-> |11>: blocks of unequal sizes
+        terms = [((i,), "Z", float(rng.normal())) for i in range(n)]
+        for b in chain_bonds(n, boundary)[1:]:  # site 0 hops nowhere
+            c = float(rng.uniform(0.5, 1.5))
+            terms += [(b, "XX", c), (b, "YY", c)]
+        return SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
     if kind == "frame_switching":  # complex only through its Y fields; real with X as Y
         terms = [(b, p + p, float(rng.uniform(0.5, 1.5)))
                  for b in chain_bonds(n, boundary) for p in "XYZ"]
@@ -162,7 +172,7 @@ def _random_spec(rng, kind, n, boundary):
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
-@pytest.mark.parametrize("kind", SPIN_KINDS + ("frame_switching",))
+@pytest.mark.parametrize("kind", SPIN_KINDS + ("frame_switching", "no_field", "hopping"))
 def test_term_list_backend_matches_kron_and_dense(kind, boundary, rng):
     """Bit-operation assembly equals the Kronecker sum exactly; the dense
     eigendecomposition, and ``spin_spectrum`` with or without the diagonal
@@ -225,6 +235,28 @@ def test_spin_spectrum_never_builds_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024 ** 2
+
+
+def _transverse_ising_ring_10():
+    return SpinModelSpec(kind="transverse_ising", n_sites=10, coupling=1.0, field=1.0,
+                         boundary="periodic")
+
+
+def test_block_writer_needs_no_memory_beyond_its_block():
+    # the ring's one block is 1024 x 1024 real, 8 MiB; an m x m index array
+    # beside it would double the peak
+    table = {flip: amp.real for flip, amp in models._amplitudes(_transverse_ising_ring_10()).items()}
+    [(rows, sub)], peak = traced_peak(models._blocks, table, 1024)
+    assert sub.nbytes == 8 * 1024 ** 2
+    assert peak <= 1.1 * sub.nbytes
+
+
+def test_dense_writer_needs_no_memory_beyond_its_matrix():
+    # 16 MiB at 10 sites; the operator copies an array that does not own its
+    # data (a reshaped view of a flat buffer), which would double the peak
+    h, peak = traced_peak(build_spin_hamiltonian, _transverse_ising_ring_10())
+    assert h.matrix.flags.owndata and h.matrix.nbytes == 16 * 1024 ** 2
+    assert peak <= 1.2 * h.matrix.nbytes
 
 
 def test_pauli_frame_signs_follow_from_its_unitary():

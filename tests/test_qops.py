@@ -30,6 +30,7 @@ from conftest import (
     random_density,
     random_pure,
     solve_recording_blocks,
+    traced_peak,
     w_pure,
 )
 
@@ -190,6 +191,25 @@ def test_eig_sigma_x_phase_convention():
     # largest-magnitude component real positive, ties at the lowest index
     assert np.allclose(dec.eigenvectors[:, 0], [s, -s])
     assert np.allclose(dec.eigenvectors[:, 1], [s, s])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_phase_fix_needs_no_square_temporary(complex_, rng):
+    # 1024 columns of 1024 rows: the magnitudes of all of them, and argmax's
+    # transposed copy, would take 8 MiB each; a stack of columns about 1 MiB
+    vecs = rng.standard_normal((1024, 1024))
+    if complex_:
+        vecs = vecs + 1j * rng.standard_normal((1024, 1024))
+    # planted ties: rows 100 and 900 share the column's largest magnitude
+    cols = np.arange(0, 1024, 3)
+    vecs[100, cols], vecs[900, cols] = (10j if complex_ else -10.0), 10.0
+    old = vecs.copy()  # the rule on the whole array at once
+    top = old[np.argmax(np.abs(old), axis=0), np.arange(1024)]
+    old *= top.conj() / np.abs(top)
+    _, peak = traced_peak(qops._fix_phases, vecs)
+    assert peak <= 2.5 * 2 ** 20
+    assert vecs.tobytes() == old.tobytes()
+    assert np.all(vecs[100, cols] == 10.0)
 
 
 def test_eig_two_qubit_heisenberg():
