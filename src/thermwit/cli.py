@@ -100,9 +100,13 @@ def parse_temps(spec: str) -> list[float]:
     return [float(t) for t in space(lo, hi, count)]
 
 
-def _read_json(path: str, what: str):
+def _read_object(path: str, what: str, required: tuple[str, ...],
+                 optional: tuple[str, ...]) -> dict:
+    """The JSON object of a ``what`` file, with every required key and no
+    other key than the optional ones. Its values are passed on as read: the
+    model and the spectrum check them."""
     try:
-        return json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
     except OSError as exc:
@@ -111,36 +115,29 @@ def _read_json(path: str, what: str):
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    extra = set(raw) - set(required) - set(optional)
+    if extra:
+        raise ConfigError(f"unknown {what} keys {sorted(extra)} in {path}")
+    if not set(required) <= set(raw):
+        raise ConfigError(f"{what} file {path} needs {' and '.join(map(repr, required))}")
+    return raw
 
 
 def load_model(path: str) -> SpinModelSpec:
-    raw = _read_json(path, "model")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"model file {path} must hold a JSON object")
-    known = {"kind", "n_sites", "coupling", "J", "field", "h", "boundary", "custom_terms"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown model keys {sorted(extra)} in {path}")
-    if "kind" not in raw or "n_sites" not in raw:
-        raise ConfigError(f"model file {path} needs 'kind' and 'n_sites'")
-    for names in (("coupling", "J"), ("field", "h")):
-        given = [name for name in names if name in raw]
-        if len(given) > 1:
-            raise ConfigError(f"invalid model in {path}: give one of {names}, got {given}")
+    raw = _read_object(path, "model", ("kind", "n_sites"),
+                       ("coupling", "J", "field", "h", "boundary", "custom_terms"))
+    spec = {{"J": "coupling", "h": "field"}.get(key, key): value for key, value in raw.items()}
+    if len(spec) < len(raw):
+        raise ConfigError(f"invalid model in {path}: give coupling/J and field/h once each")
     try:
-        return SpinModelSpec(
-            kind=raw["kind"],
-            n_sites=raw["n_sites"],
-            coupling=float(raw.get("coupling", raw.get("J", 1.0))),
-            field=float(raw.get("field", raw.get("h", 0.0))),
-            boundary=raw.get("boundary", "open"),
-            custom_terms=raw.get("custom_terms"),
-        )
+        return SpinModelSpec(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model in {path}: {exc}") from exc
 
 
-#: Generator parameters and the conversion of their values.
+#: Generator parameters and the parsing of their text.
 _GEN_PARAMS = {
     "omega": float, "velocity": float, "particle_target": float,
     "chemical_potential": float, "n_modes": int, "statistics": str.strip,
@@ -165,22 +162,15 @@ def load_spectrum(spec: str) -> ModeSpectrum:
                 kwargs[key] = _GEN_PARAMS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"bad generator value {item!r} in {spec!r}: {exc}") from exc
-        try:
-            return make_spectrum(parts[1], **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid spectrum spec {spec!r}: {exc}") from exc
-    raw = _read_json(spec, "spectrum")
-    if not isinstance(raw, dict) or "frequencies" not in raw or "statistics" not in raw:
-        raise ConfigError(f"spectrum file {spec} needs 'frequencies' and 'statistics'")
+        make = functools.partial(make_spectrum, parts[1], **kwargs)
+    else:
+        make = functools.partial(ModeSpectrum, **_read_object(
+            spec, "spectrum", ("frequencies", "statistics"),
+            ("particle_target", "chemical_potential")))
     try:
-        return ModeSpectrum(
-            frequencies=np.asarray(raw["frequencies"], dtype=float),
-            statistics=raw["statistics"],
-            particle_target=raw.get("particle_target"),
-            chemical_potential=raw.get("chemical_potential"),
-        )
+        return make()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid spectrum in {spec}: {exc}") from exc
+        raise ConfigError(f"invalid spectrum spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +227,10 @@ def run_gas_scan(args: argparse.Namespace) -> Output:
     else:
         lo, hi = gas.default_fit_window(spectrum)
     in_window = [t for t in grid if lo <= t <= hi]
-    if len(in_window) < 8:
+    if len(in_window) < gas.MIN_FIT_SAMPLES:
         raise ConfigError(
             f"fit window [{_fmt(lo)}, {_fmt(hi)}] holds {len(in_window)} grid samples; "
-            "need at least 8 (adjust --temps or --fit-window)"
+            f"need at least {gas.MIN_FIT_SAMPLES} (adjust --temps or --fit-window)"
         )
     fit = gas.fit_entropy_scaling(spectrum, in_window)
     t_star = gas.critical_temperature_estimate(fit, args.energy_per_particle)
@@ -380,7 +370,7 @@ def _selfcheck_properties(seed: int):
     points = 0
     for n_sites in (2, 3):
         spectral = spin_spectrum(SpinModelSpec(kind="heisenberg", n_sites=n_sites))
-        result = witness.sweep(spectral, [float(t) for t in np.geomspace(0.1, 20.0, 15)])
+        result = witness.sweep(spectral, np.geomspace(0.1, 20.0, 15))
         fired += sum(r.eq2_fires for r in result.reports)
         points += len(result.reports)
     yield (

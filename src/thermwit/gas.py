@@ -26,6 +26,9 @@ from .models import ModeSpectrum
 #: Occupancy-sum convergence target for the chemical-potential solve.
 MU_SOLVE_TOL = 1e-10
 
+#: Fewest temperature samples of a power-law fit.
+MIN_FIT_SAMPLES = 8
+
 #: Arguments above this use the asymptotic tail of the bose occupation.
 _BOSE_TAIL = 40.0
 
@@ -255,8 +258,8 @@ def fit_power_law(
     """
     ts = np.asarray(list(t_samples), dtype=np.float64)
     ss = np.asarray(list(s_samples), dtype=np.float64)
-    if ts.size < 8:
-        raise ValueError(f"need at least 8 temperature samples, got {ts.size}")
+    if ts.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} temperature samples, got {ts.size}")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("temperature samples must be strictly ascending")
     if np.any(ss <= 0):

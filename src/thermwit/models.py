@@ -13,7 +13,9 @@ wrap-around bond.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -39,6 +41,16 @@ def _integer(value, what: str) -> int:
     return operator.index(value)
 
 
+def _real(value, what: str) -> float:
+    """A finite real number, as a float; a bool, a string or a non-finite
+    value is refused, not parsed or rounded."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the largest float
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{what} {value!r} is not a finite real number")
+
+
 @dataclass(frozen=True)
 class SpinModelSpec:
     kind: str
@@ -57,8 +69,8 @@ class SpinModelSpec:
         check_dense_size(2 ** min(self.n_sites, 64))  # 2**64 is over any cap; keeps the int small
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
-        if not (math.isfinite(self.coupling) and math.isfinite(self.field)):
-            raise ValueError(f"coupling {self.coupling} and field {self.field} must be finite")
+        for name in ("coupling", "field"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         # a value the kind would ignore is refused, not silently dropped
         if self.field != 0 and self.kind != "transverse_ising":
             raise ValueError(f"field {self.field} is only used by kind 'transverse_ising'")
@@ -68,13 +80,10 @@ class SpinModelSpec:
                                  f"got coupling {self.coupling} and boundary {self.boundary!r}")
             if not self.custom_terms:
                 raise ValueError("custom_terms model needs a nonempty custom_terms list")
-            terms = tuple(
-                (tuple(_integer(s, "term site") for s in sites), str(labels).upper(), float(coeff))
-                for sites, labels, coeff in self.custom_terms
-            )
-            for sites, labels, coeff in terms:
-                if not math.isfinite(coeff):
-                    raise ValueError(f"term coefficient {coeff} must be finite")
+            terms = tuple((tuple(_integer(s, "term site") for s in sites), str(labels).upper(),
+                           _real(coeff, "term coefficient"))
+                          for sites, labels, coeff in self.custom_terms)
+            for sites, labels, _ in terms:
                 if len(sites) != len(labels) or not sites:
                     raise ValueError(f"term sites {sites} do not match labels {labels!r}")
                 if len(set(sites)) != len(sites):
@@ -104,9 +113,16 @@ class ModeSpectrum:
     chemical_potential: float | None = None
 
     def __post_init__(self) -> None:
-        freqs = np.sort(np.asarray(self.frequencies, dtype=np.float64))
+        freqs = np.asarray(self.frequencies)
+        # numpy promotes [True, 2.0] to numbers, so the elements of a list are looked at too
+        listed = self.frequencies if isinstance(self.frequencies, (list, tuple)) else ()
+        odd = [f for f in listed if isinstance(f, (bool, np.bool_, str))]
+        if odd or freqs.dtype.kind not in "iuf":  # bools, strings, complex or objects
+            got = repr(odd[0]) if odd else f"dtype {freqs.dtype}"
+            raise ValueError(f"frequencies must be real numbers, got {got}")
         if freqs.ndim != 1 or freqs.size == 0:
             raise ValueError("frequencies must be a nonempty 1-D sequence")
+        freqs = np.sort(freqs).astype(np.float64, copy=False)
         if not np.all(np.isfinite(freqs)):
             raise ValueError("all frequencies must be finite")
         if np.any(freqs <= 0):
@@ -119,8 +135,7 @@ class ModeSpectrum:
         if has_n == has_mu:
             raise ValueError("exactly one of particle_target and chemical_potential is required")
         name = "particle_target" if has_n else "chemical_potential"
-        if not math.isfinite(getattr(self, name)):
-            raise ValueError(f"{name} {getattr(self, name)} must be finite")
+        object.__setattr__(self, name, _real(getattr(self, name), name))
         if has_n and self.particle_target <= 0:
             raise ValueError("particle_target must be positive")
         if has_mu and self.statistics == "bose" and self.chemical_potential >= freqs[0]:
@@ -295,11 +310,12 @@ def make_spectrum(
     if kind == "uniform":
         if n_modes is None or omega is None:
             raise ValueError("uniform spectrum needs n_modes and omega")
-        freqs = np.full(int(n_modes), float(omega))
+        freqs = np.full(_integer(n_modes, "n_modes"), _real(omega, "omega"))
     elif kind == "linear_dispersion":
         if n_modes is None or velocity is None:
             raise ValueError("linear_dispersion spectrum needs n_modes and velocity")
-        freqs = float(velocity) * np.arange(1, int(n_modes) + 1, dtype=np.float64)
+        freqs = _real(velocity, "velocity") * np.arange(1, _integer(n_modes, "n_modes") + 1,
+                                                        dtype=np.float64)
     else:
         raise ValueError(f"unknown spectrum kind {kind!r}")
     return ModeSpectrum(

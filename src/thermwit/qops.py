@@ -26,9 +26,6 @@ DENSE_BYTES = 16 * 4096 ** 2
 #: Tolerance for the Hermiticity invariant (max-entry norm of A - A^dag).
 HERMITICITY_TOL = 1e-10
 
-#: Tile edge of the Hermiticity check, which bounds its scratch memory.
-_TILE = 256
-
 #: Eigenvalues below this are treated as exact zeros in log-domain functions.
 EIG_CLAMP = 1e-12
 
@@ -43,9 +40,10 @@ SUPPORT_TOL = 1e-10
 #: calls cost more than one; up to 128, every golden output keeps its bits.
 SPLIT_ROWS = 128
 
-#: Byte size of one stack of scratch work: the column magnitudes of
-#: ``_fix_phases``, the cut matrices of the max-cut bound. Scratch memory then
-#: does not grow with the system.
+#: Byte size of one stack of scratch work: a complex tile of the Hermiticity
+#: check, the column magnitudes of ``_fix_phases``, the cut matrices of the
+#: max-cut bound, a row block of a temperature grid's Boltzmann weights.
+#: Scratch memory then does not grow with the system.
 _STACK_BYTES = 1 << 20
 
 
@@ -81,7 +79,7 @@ def _as_locked_complex(matrix: np.ndarray) -> np.ndarray:
 def _check_hermitian(mat: np.ndarray) -> None:
     """Raise ``ValueError`` unless the square ``mat`` is finite and Hermitian
     to HERMITICITY_TOL in the max-entry norm."""
-    t = _TILE
+    t = math.isqrt(_STACK_BYTES // 16)  # the edge of a complex tile of one stack
     # tiles on and above the diagonal cover every entry of A - A^dag; a
     # non-finite entry makes its tile's deviation NaN or inf
     with np.errstate(invalid="ignore"):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qops import DensityOperator, PureState, SpectralDecomposition
+from .qops import _STACK_BYTES, DensityOperator, PureState, SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,6 @@ class CanonicalScalars:
     S: float
     p: float  # Boltzmann weight of a single ground state, exp(-beta E0)/Z
     neg_ln_p: float  # -ln p, the log of the partition sum shifted by E0
-
-
-#: Byte size of one (temperatures, levels) temporary. A longer grid is
-#: evaluated in row blocks of this size, so memory does not grow with it.
-_BLOCK_BYTES = 1 << 20
 
 
 def _checked_temperatures(temperatures) -> np.ndarray:
@@ -69,7 +64,7 @@ def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, ..
     """
     temps = _checked_temperatures(temperatures)
     s, rest, neg_ln_p = np.empty(temps.size), np.empty(temps.size), np.empty(temps.size)
-    rows = max(1, _BLOCK_BYTES // (8 * levels.size))
+    rows = max(1, _STACK_BYTES // (8 * levels.size))  # the grid in row blocks of one stack
     for lo in range(0, temps.size, rows):
         block = slice(lo, lo + rows)
         _, rest[block], neg_ln_p[block], _, s[block] = _boltzmann(levels, temps[block])

@@ -26,7 +26,7 @@ import numpy as np
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_bounds, ree_lower_bound
 from .models import ground_state
 from .qops import SpectralDecomposition
-from .thermo import _boltzmann, entropy_and_weight
+from .thermo import _boltzmann, _checked_temperatures, entropy_and_weight
 
 #: Strictness guard for the witness inequalities.
 GUARD = 1e-12
@@ -232,14 +232,12 @@ def sweep(
     ``T_STAR_TOL`` regardless of grid density; the grid's own values decide
     every step outside the cell that holds the crossing.
     """
-    grid = [float(t) for t in t_grid]
-    if not grid:
+    grid = _checked_temperatures(t_grid)
+    if not grid.size:
         raise ValueError("temperature grid must be nonempty")
-    if not all(0 < t < math.inf for t in grid):
-        raise ValueError("temperatures must be finite and positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("temperature grid must be strictly ascending")
     psi = ground_state(spectral)
     est = ree_lower_bound(psi) if fw_config is None else ree_bounds(psi, fw_config)[1]
-    bracket = (grid[0], grid[-1] if len(grid) > 1 else grid[0] * 10.0)
-    return _grid_result(spectral, grid, est, bracket)
+    lo, hi = float(grid[0]), float(grid[-1])
+    return _grid_result(spectral, grid, est, (lo, hi if grid.size > 1 else lo * 10.0))

@@ -139,6 +139,11 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
         {"kind": "transverse_ising", "n_sites": 2, "h": 1.0, "field": 1.0},
         {"kind": "custom_terms", "n_sites": 3, "boundary": "periodic",
          "custom_terms": [[[0, 1], "ZZ", 1.0], [[2], "X", 0.5]]},
+        # a number must be a JSON number, not a bool or a string
+        {"kind": "heisenberg", "n_sites": 2, "J": True},
+        {"kind": "heisenberg", "n_sites": 2, "J": "1.5"},
+        {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[[0], "X", "0.5"]]},
+        {"kind": "custom_terms", "n_sites": 2, "custom_terms": [[[0], "X", True]]},
     ):
         model = write_model(tmp_path, payload)
         assert main(["spin-sweep", "--model", model, "--temps", "1:2:2"]) == EXIT_CONFIG
@@ -150,9 +155,20 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["energy-witness", "--model", str(tmp_path / "absent.json")]) == EXIT_CONFIG
     assert "model file not found" in capsys.readouterr().err
+    two_modes = {"frequencies": [1.0, 2.0], "statistics": "fermi"}
     for payload, message in (({"frequencies": [1.0]}, "needs 'frequencies' and 'statistics'"),
                              ({"frequencies": [], "statistics": "bose", "particle_target": 1.0},
-                              "invalid spectrum")):
+                              "invalid spectrum"),
+                             ({**two_modes, "frequencies": ["1", "2", "3"], "particle_target": 1.0},
+                              "frequencies must be real numbers, got '1'"),
+                             ({**two_modes, "frequencies": [True, 2, 3], "particle_target": 1.0},
+                              "frequencies must be real numbers, got True"),
+                             ({**two_modes, "particle_target": True},
+                              "particle_target True is not a finite real number"),
+                             ({**two_modes, "chemical_potential": "0"},
+                              "chemical_potential '0' is not a finite real number"),
+                             ({**two_modes, "particle_target": 1.0, "chemical_potentail": 0.0},
+                              "unknown spectrum keys ['chemical_potentail']")):
         spectrum = write_model(tmp_path, payload, "spectrum.json")
         assert main(["gas-scan", "--spectrum", spectrum, "--temps", "1:2:8"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err

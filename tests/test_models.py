@@ -504,6 +504,18 @@ def test_spec_rejects_bad_inputs():
         SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0, 0), "XX", 1.0),))
     with pytest.raises(ValueError, match="only allowed"):
         SpinModelSpec(kind="heisenberg", n_sites=2, custom_terms=(((0,), "X", 1.0),))
+    # a number is a real number, not a bool or a string to be parsed
+    with pytest.raises(ValueError, match="coupling True is not a finite real number"):
+        SpinModelSpec(kind="heisenberg", n_sites=2, coupling=True)
+    with pytest.raises(ValueError, match="term coefficient '0.5' is not a finite real number"):
+        SpinModelSpec(kind="custom_terms", n_sites=2, custom_terms=(((0,), "X", "0.5"),))
+    with pytest.raises(ValueError, match="n_modes 2.7 is not an integer"):
+        make_spectrum("uniform", n_modes=2.7, omega=1.0, statistics="bose", chemical_potential=0.0)
+    with pytest.raises(ValueError, match="velocity '0.5' is not a finite real number"):
+        make_spectrum("linear_dispersion", n_modes=2, velocity="0.5", statistics="bose",
+                      chemical_potential=0.0)
+    with pytest.raises(ValueError, match="frequencies must be real numbers, got '1'"):
+        ModeSpectrum(["1", "2"], statistics="bose", chemical_potential=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -279,7 +279,7 @@ def test_grid_row_blocks_do_not_change_the_values(monkeypatch):
     temps = np.geomspace(1e-2, 1e2, 50)
     whole = thermo.entropy_and_weight(levels, temps)
     assert whole[1][0] > 0 and np.any(np.exp(-levels / temps[0]) == 0)  # an underflowed tail
-    monkeypatch.setattr(thermo, "_BLOCK_BYTES", 3 * 8 * levels.size)  # 3 rows per block
+    monkeypatch.setattr(thermo, "_STACK_BYTES", 3 * 8 * levels.size)  # 3 rows per block
     blocked = thermo.entropy_and_weight(levels, temps)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
