@@ -25,8 +25,8 @@ import numpy as np
 
 from . import gas, thermo, witness
 from .ent import FrankWolfeConfig, energy_witness, ree_bounds
-from .models import ModeSpectrum, SpinModelSpec, build_spin_hamiltonian
-from .models import ground_state, make_spectrum, spin_spectrum
+from .models import ModeSpectrum, SpinModelSpec, ground_state, make_spectrum
+from .models import pauli_terms, spin_spectrum
 from .seeding import child_seed, named_rng
 
 EXIT_OK = 0
@@ -297,7 +297,7 @@ def run_energy_witness(args: argparse.Namespace) -> Output:
     spec = load_model(args.model)
     e0 = float(spin_spectrum(spec).eigenvalues[0])
     seed = child_seed(args.seed, "energy-witness")
-    res = energy_witness(build_spin_hamiltonian(spec), e0, restarts=args.restarts, seed=seed)
+    res = energy_witness((pauli_terms(spec), spec.n_sites), e0, restarts=args.restarts, seed=seed)
     return _record(args, E0=e0, sep_min=res.sep_min, entangled=res.entangled)
 
 

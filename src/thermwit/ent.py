@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .models import CustomTerm, SpinModelSpec
 from .qops import (
     DensityOperator,
     EIG_CLAMP,
@@ -256,9 +257,77 @@ def _alternating_minimum(
             sub = [g[moved] for g in sub]
             if not active.size:
                 break
-    lowest = vals.min()
-    best = int(np.argmax(vals <= lowest + 1e-12 * max(1.0, abs(lowest))))
+    best = _first_lowest(vals)
     return float(vals[best]), [f[best].copy() for f in factors]
+
+
+def _first_lowest(vals: np.ndarray) -> int:
+    """The first start whose value lies within relative 1e-12 of the lowest."""
+    lowest = vals.min()
+    return int(np.argmax(vals <= lowest + 1e-12 * max(1.0, abs(lowest))))
+
+
+def _bloch_minimum(
+    terms: Sequence[CustomTerm],
+    n_sites: int,
+    rng: np.random.Generator,
+    restarts: int,
+) -> tuple[float, np.ndarray]:
+    """Lowest energy of qubit Pauli terms over product states found by
+    alternating site updates, with the Bloch vectors of the best start.
+
+    On a product state <P_1 x ... x P_k> is the product of the sites' Bloch
+    components, so the energy is affine in each site's Bloch vector r_k and
+    the best r_k given the rest is -g_k/|g_k|: the lowest eigenvector of the
+    effective 2x2 operator that ``_alternating_minimum`` finds by ``eigh``.
+    It draws the same starts, (a, b) -> (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2),
+    and keeps the same stopping rule and winner; a site with g_k = 0 keeps
+    its vector. The starts are rows of one (starts, n+1, 4) array whose
+    extra site row and axis column are 1s, which pad every term to the
+    longest; a site update is one gather, one product, one matmul with a
+    (terms on k) x 3 coefficient table and one normalization, and no 2**n
+    object is built. ``terms`` are as ``SpinModelSpec`` checks them: sites
+    in range, none repeated, labels from XYZ.
+    """
+    n = n_sites
+    pad = 4 * n + 3  # flat index of a constant 1
+    index = np.full((len(terms), max((len(t[0]) for t in terms), default=1)), pad)
+    coeffs = np.array([coeff for _, _, coeff in terms], dtype=float)
+    for t, (sites, labels, _) in enumerate(terms):
+        index[t, :len(sites)] = [4 * s + "XYZ".index(p) for s, p in zip(sites, labels)]
+    updates = []
+    for k in range(n):
+        t, slot = np.nonzero(index // 4 == k)  # a term holds site k at most once
+        others = index[t]
+        others[np.arange(t.size), slot] = pad
+        table = np.zeros((t.size, 3))
+        table[np.arange(t.size), index[t, slot] % 4] = -coeffs[t]  # a row sum is then -g_k
+        updates.append((others, table))
+    a, b = np.moveaxis(np.array([_random_factors((2,) * n, rng) for _ in range(restarts)]), 2, 0)
+    ab = a.conj() * b
+    bloch = np.ones((restarts, n + 1, 4))
+    bloch[:, :n, :3] = np.stack([2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=2)
+    vals = np.full(restarts, np.inf)
+    active = np.arange(restarts)
+    sub = bloch.copy()
+    for _ in range(_MAX_ROUNDS):
+        flat = sub.reshape(active.size, -1)  # a view: site updates show through
+        for k, (others, table) in enumerate(updates):
+            down = flat[:, others].prod(axis=2) @ table
+            norm = np.sqrt(np.einsum("ij,ij->i", down, down))[:, None]
+            np.divide(down, norm, out=sub[:, k, :3], where=norm > 0)
+        energy = flat[:, index].prod(axis=2) @ coeffs
+        bloch[active] = sub
+        # vals start at inf, so no start stops after its first pass
+        moved = np.abs(energy - vals[active]) >= _STATIONARITY_TOL
+        vals[active] = energy
+        if not moved.all():
+            active = active[moved]
+            sub = sub[moved]
+            if not active.size:
+                break
+    best = _first_lowest(vals)
+    return float(vals[best]), bloch[best, :n, :3]
 
 
 def closest_product_state(
@@ -280,18 +349,32 @@ def closest_product_state(
 
 
 def energy_witness(
-    h: HermitianOperator, energy: float, restarts: int = 32, seed: int = 42
+    h: HermitianOperator | tuple[Sequence[CustomTerm], int],
+    energy: float,
+    restarts: int = 32,
+    seed: int = 42,
 ) -> EnergyWitnessResult:
     """Flag a state whose energy undercuts the lowest product-state energy found.
 
-    ``sep_min`` is the lowest <H> reached by ``restarts`` local searches over
-    product states. The true product minimum is, by convexity, also the
-    separable-mixed-state minimum, and an energy below it proves entanglement;
-    but a search can miss it, so ``sep_min`` may sit above it and
-    ``energy < sep_min`` is evidence, not proof. The boundary is not strict:
-    equality does not flag.
+    ``h`` is a dense operator, searched by ``_alternating_minimum``, or a
+    qubit model as its Pauli terms and site count, ``(pauli_terms(spec),
+    spec.n_sites)``, checked as ``SpinModelSpec`` checks custom terms and
+    searched over Bloch vectors by ``_bloch_minimum`` with no dense matrix;
+    the same seed gives both the same starts. ``sep_min``
+    is the lowest <H> reached by ``restarts`` local searches over product
+    states. The true product minimum is, by convexity, also the
+    separable-mixed-state minimum, and an energy below it proves
+    entanglement; but a search can miss it, so ``sep_min`` may sit above it
+    and ``energy < sep_min`` is evidence, not proof. The boundary is not
+    strict: equality does not flag.
     """
-    _, sep_min = closest_product_state(h, restarts=restarts, seed=seed)
+    _check_restarts(restarts)
+    rng = np.random.default_rng(seed)
+    if isinstance(h, HermitianOperator):
+        sep_min, _ = _alternating_minimum(h.matrix, h.dims, rng, restarts)
+    else:
+        spec = SpinModelSpec("custom_terms", h[1], custom_terms=tuple(h[0]))
+        sep_min, _ = _bloch_minimum(spec.custom_terms, spec.n_sites, rng, restarts)
     return EnergyWitnessResult(sep_min=sep_min, entangled=bool(energy < sep_min - 1e-9))
 
 

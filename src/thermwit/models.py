@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qops import (HermitianOperator, PureState, SpectralDecomposition, _check_hermitian,
-                   _eig_blocks, _fix_phases, check_dense_size)
+                   _eig_blocks, _fix_phases, _real_array, check_dense_size)
 from .seeding import named_rng
 
 SPIN_KINDS = ("heisenberg", "xy", "transverse_ising", "custom_terms")
@@ -113,16 +113,10 @@ class ModeSpectrum:
     chemical_potential: float | None = None
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies)
-        # numpy promotes [True, 2.0] to numbers, so the elements of a list are looked at too
-        listed = self.frequencies if isinstance(self.frequencies, (list, tuple)) else ()
-        odd = [f for f in listed if isinstance(f, (bool, np.bool_, str))]
-        if odd or freqs.dtype.kind not in "iuf":  # bools, strings, complex or objects
-            got = repr(odd[0]) if odd else f"dtype {freqs.dtype}"
-            raise ValueError(f"frequencies must be real numbers, got {got}")
+        freqs = _real_array(self.frequencies, "frequencies")
         if freqs.ndim != 1 or freqs.size == 0:
             raise ValueError("frequencies must be a nonempty 1-D sequence")
-        freqs = np.sort(freqs).astype(np.float64, copy=False)
+        freqs = np.sort(freqs)
         if not np.all(np.isfinite(freqs)):
             raise ValueError("all frequencies must be finite")
         if np.any(freqs <= 0):

@@ -56,6 +56,22 @@ def check_dense_size(dim: int) -> None:
                           f"over the {DENSE_BYTES}-byte cap")
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array when every entry is a real number, else
+    ``ValueError`` naming the first bool or string, or the dtype. An ndarray
+    is judged by its dtype alone, with no per-element loop; the elements of
+    a list or tuple, or a lone value, are looked at too, since numpy
+    promotes [0.5, True] and ["0.5"] to numbers it can convert."""
+    arr = np.asarray(values)
+    listed = (() if isinstance(values, np.ndarray)
+              else values if isinstance(values, (list, tuple)) else (values,))
+    odd = [v for v in listed if isinstance(v, (bool, np.bool_, str))]
+    if odd or arr.dtype.kind not in "iuf":  # bools, strings, complex or objects
+        got = repr(odd[0]) if odd else f"dtype {arr.dtype}"
+        raise ValueError(f"{what} must be real numbers, got {got}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if len(dims) < 1:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qops import _STACK_BYTES, DensityOperator, PureState, SpectralDecomposition
+from .qops import _STACK_BYTES, DensityOperator, PureState, SpectralDecomposition, _real_array
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,9 @@ class CanonicalScalars:
 
 
 def _checked_temperatures(temperatures) -> np.ndarray:
-    temps = np.asarray(temperatures, dtype=np.float64).reshape(-1)
+    """The temperatures as a flat float64 array, each a finite positive
+    real number (``qops._real_array``), else ``ValueError``."""
+    temps = _real_array(temperatures, "temperatures").reshape(-1)
     bad = temps[~((temps > 0) & (temps < math.inf))]
     if bad.size:
         raise ValueError(f"temperature must be finite and positive, got {bad[0]}")
@@ -60,7 +62,7 @@ def entropy_and_weight(levels: np.ndarray, temperatures) -> tuple[np.ndarray, ..
 
     ``levels`` ascend from 0, as ``SpectralDecomposition.levels`` does. Each
     value has the same bits as ``canonical_scalars`` at that temperature; a
-    temperature that is not finite and positive is rejected.
+    temperature that is not a finite positive real number is rejected.
     """
     temps = _checked_temperatures(temperatures)
     s, rest, neg_ln_p = np.empty(temps.size), np.empty(temps.size), np.empty(temps.size)
@@ -77,8 +79,8 @@ def canonical_scalars(energies: np.ndarray, temperature: float) -> CanonicalScal
     ``p`` is the weight of one ground state: for a g-fold degenerate ground
     level the total ground population is g*p. Every spin-side thermal
     quantity passes through ``_boltzmann``, which ``entropy_and_weight``
-    runs over a whole grid; a temperature that is not finite and positive is
-    rejected.
+    runs over a whole grid; a temperature that is not a finite positive real
+    number is rejected.
     """
     temps = _checked_temperatures(temperature)
     e = np.sort(np.asarray(energies, dtype=np.float64))

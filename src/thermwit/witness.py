@@ -25,7 +25,7 @@ import numpy as np
 
 from .ent import EntanglementEstimate, FrankWolfeConfig, ree_bounds, ree_lower_bound
 from .models import ground_state
-from .qops import SpectralDecomposition
+from .qops import SpectralDecomposition, _real_array
 from .thermo import _boltzmann, _checked_temperatures, entropy_and_weight
 
 #: Strictness guard for the witness inequalities.
@@ -205,7 +205,10 @@ def critical_temperature(
     """
     if kind not in ("eq2", "eq4"):
         raise ValueError(f"kind must be 'eq2' or 'eq4', got {kind!r}")
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
+    ends = _real_array(bracket, "bracket")
+    if ends.shape != (2,):
+        raise ValueError(f"bracket must hold two temperatures, got {bracket}")
+    t_lo, t_hi = ends.tolist()
     if not 0 < t_lo < t_hi < math.inf:
         raise ValueError(f"bracket must be finite, positive and ascending, got {bracket}")
     if not 0 < tol < math.inf:

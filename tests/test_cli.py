@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermwit import SpinModelSpec, cli, ent, models
 from thermwit.ent import EntanglementEstimate
-from thermwit.models import build_spin_hamiltonian, spin_spectrum
+from thermwit.models import build_spin_hamiltonian
 from thermwit.witness import T_STAR_TOL, SweepResult, WitnessReport
 from thermwit.cli import (
     EXIT_CONFIG,
@@ -462,25 +462,28 @@ def test_energy_witness_command(tmp_path):
 
 @pytest.mark.parametrize("payload", [
     {"kind": "heisenberg", "n_sites": 4, "boundary": "periodic"},
-    # real only in the diagonal gauge, which spin_spectrum applies to its blocks
+    # real only in the diagonal gauge, which spin_spectrum applies to its
+    # blocks; its Y term is a Y axis of the Bloch search
     {"kind": "custom_terms", "n_sites": 3,
      "custom_terms": [[[0, 1], "ZZ", 1.0], [[1, 2], "XX", 0.5], [[0], "Y", 0.3]]},
 ])
-def test_energy_witness_builds_the_hamiltonian_once_per_frame(payload, tmp_path, monkeypatch):
+def test_energy_witness_never_builds_the_dense_hamiltonian(payload, tmp_path, monkeypatch):
     calls = []
 
     def counting_build(spec):
         calls.append(spec)
         return build_spin_hamiltonian(spec)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the energy witness ran the dense product-state oracle")
+
     monkeypatch.setattr(models, "build_spin_hamiltonian", counting_build)
-    monkeypatch.setattr(cli, "build_spin_hamiltonian", counting_build)
-    spin_spectrum(SpinModelSpec(**payload))
-    assert calls == []  # the spectrum comes from blocks, not from the dense matrix
+    monkeypatch.setattr(ent, "_alternating_minimum", forbidden)
     out = tmp_path / "ew.csv"
     argv = ["energy-witness", "--model", write_model(tmp_path, payload), "--restarts", "2"]
     assert main(argv + ["--out", str(out)]) == EXIT_OK
-    assert len(calls) == 1  # the product-state oracle's dense matrix
+    # the spectrum comes from blocks and sep_min from the Pauli terms
+    assert calls == []
     monkeypatch.undo()
     reference = tmp_path / "reference.csv"
     assert main(argv + ["--out", str(reference)]) == EXIT_OK

@@ -26,7 +26,9 @@ from thermwit import (
     thermal_ensemble,
 )
 from thermwit import ent
-from thermwit.ent import ProductStateAnsatz, _alternating_minimum, _objective_and_gradient
+from thermwit.ent import (ProductStateAnsatz, _alternating_minimum, _bloch_minimum,
+                          _objective_and_gradient)
+from thermwit.models import pauli_terms
 from conftest import (
     LN2,
     SX,
@@ -467,6 +469,80 @@ def test_oracle_breaks_round_off_ties_by_the_lowest_start(delta):
     assert value == (a if winner == 0 else a - delta)
     for f in factors:
         assert np.abs(f[winner]) == 1.0 and f[1 - winner] == 0
+
+
+def _bloch_energy(h: np.ndarray, bloch: np.ndarray) -> float:
+    """<H> on the product of the one-site states (I + r.sigma)/2."""
+    rho = np.ones((1, 1))
+    for x, y, z in bloch:
+        rho = np.kron(rho, (np.eye(2) + x * SX + y * SY + z * SZ) / 2)
+    return float(np.real(np.trace(h @ rho)))
+
+
+def _assert_bloch_search_matches_dense(spec: SpinModelSpec, seed: int, restarts: int = 4):
+    h = build_spin_hamiltonian(spec)
+    value, bloch = _bloch_minimum(pauli_terms(spec), spec.n_sites,
+                                  np.random.default_rng(seed), restarts)
+    dense, _ = _alternating_minimum(h.matrix, h.dims, np.random.default_rng(seed), restarts)
+    assert abs(value - dense) <= 1e-8
+    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert abs(_bloch_energy(h.matrix, bloch) - value) <= 1e-10
+    assert value >= np.linalg.eigvalsh(h.matrix)[0] - 1e-9
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("kind", ["heisenberg", "xy", "transverse_ising"])
+def test_bloch_search_matches_the_dense_oracle_on_builtin_models(kind, boundary):
+    # with equal seeds both searches start from the same product states
+    rng = np.random.default_rng([2, len(kind), len(boundary)])
+    for n in range(2, 9):
+        field = float(rng.uniform(-2, 2)) if kind == "transverse_ising" else 0.0
+        spec = SpinModelSpec(kind=kind, n_sites=n, coupling=float(rng.uniform(-2, 2)),
+                             field=field, boundary=boundary)
+        _assert_bloch_search_matches_dense(spec, seed=int(rng.integers(2**32)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 6), count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_bloch_search_matches_the_dense_oracle_on_custom_terms(n, count, seed):
+    # 1-, 2- and 3-site terms that mix X, Y and Z, with repeated labels
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(count):
+        sites = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        labels = "".join(rng.choice(list("XYZ"), size=sites.size))
+        terms.append((tuple(sites.tolist()), labels, float(rng.normal())))
+    spec = SpinModelSpec(kind="custom_terms", n_sites=n, custom_terms=tuple(terms))
+    _assert_bloch_search_matches_dense(spec, seed=seed)
+
+
+def test_bloch_search_keeps_the_start_of_an_idle_site():
+    # no term touches site 2, so g = 0 there in every update
+    terms = (((0, 1), "XY", 0.8), ((1, 3), "ZZ", -0.6), ((0,), "Y", 0.3), ((0, 1, 3), "XZY", 0.4))
+    spec = SpinModelSpec(kind="custom_terms", n_sites=4, custom_terms=terms)
+    _assert_bloch_search_matches_dense(spec, seed=9, restarts=6)
+    _, bloch = _bloch_minimum(terms, 4, np.random.default_rng(9), 1)
+    a, b = ent._random_factors((2,) * 4, np.random.default_rng(9))[2]
+    start = [2 * (a.conj() * b).real, 2 * (a.conj() * b).imag, abs(a) ** 2 - abs(b) ** 2]
+    assert np.allclose(bloch[2], start, rtol=0, atol=1e-15)  # the vector it started with
+
+
+def test_energy_witness_takes_a_dense_operator_or_its_terms():
+    spec = SpinModelSpec(kind="xy", n_sites=3, coupling=0.7, boundary="periodic")
+    dense = energy_witness(build_spin_hamiltonian(spec), energy=-1.4, restarts=3, seed=3)
+    terms = energy_witness((pauli_terms(spec), 3), energy=-1.4, restarts=3, seed=3)
+    assert abs(terms.sep_min - dense.sep_min) <= 1e-12
+    assert terms.entangled and dense.entangled
+    # the one verdict rule: equality within 1e-9 does not flag
+    assert not energy_witness((pauli_terms(spec), 3), energy=terms.sep_min - 1e-9,
+                              restarts=3, seed=3).entangled
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        energy_witness((pauli_terms(spec), 3), energy=-1.4, restarts=0)
+    # the terms are checked as a model's are: XX on one site is not x**2
+    with pytest.raises(ValueError, match="repeated site"):
+        energy_witness(([((0, 0), "XX", 1.0)], 2), energy=0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        energy_witness(([((0, 2), "ZZ", 1.0)], 2), energy=0.0)
 
 
 def test_restarts_below_one_rejected():

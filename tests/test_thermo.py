@@ -291,6 +291,24 @@ def test_grid_rejects_nonpositive_temperature():
             thermo.entropy_and_weight(levels, bad)
 
 
+def test_temperatures_must_be_real_numbers():
+    # numpy would turn "2" into 2.0 and True into 1.0; the check names the value
+    levels = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="temperatures must be real numbers, got '2'"):
+        canonical_scalars(levels, "2")
+    with pytest.raises(ValueError, match="temperatures must be real numbers, got True"):
+        thermo.entropy_and_weight(levels, [0.5, True])
+    with pytest.raises(ValueError, match="temperatures must be real numbers, got dtype bool"):
+        thermo.entropy_and_weight(levels, np.array([True, False]))
+    with pytest.raises(ValueError, match="got dtype complex128"):
+        thermo.entropy_and_weight(levels, np.array([1.0 + 0j]))
+    # integers are real numbers, and give the bits of the same floats
+    assert canonical_scalars(levels, 2) == canonical_scalars(levels, 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        thermo.entropy_and_weight(levels, np.array([1, 3])),
+        thermo.entropy_and_weight(levels, [1.0, 3.0])))
+
+
 def _exact_entropy_and_neg_ln_p(levels, t):
     """S and -ln p of the float ``levels`` (ascending from 0) at the float
     temperature ``t``, in 400-digit decimal arithmetic: with rest the

@@ -170,6 +170,11 @@ def test_threshold_rejects_bad_inputs():
         critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, bracket=(2.0, 1.0))
     with pytest.raises(ValueError, match="positive"):  # an infinite top must not hang
         critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.5, math.inf))
+    # float() would read ("0.01", True) as (0.01, 1.0)
+    with pytest.raises(ValueError, match="bracket must be real numbers, got '0.01'"):
+        critical_temperature(eig_hermitian(heis(2)), "eq2", 0.69, bracket=("0.01", True))
+    with pytest.raises(ValueError, match="bracket must hold two temperatures"):
+        critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, bracket=(0.1, 1.0, 10.0))
     for tol in (0.0, -1.0, math.nan):  # 0 and -1 would hang, nan would skip the bisection
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             critical_temperature(eig_hermitian(heis(2)), "eq2", LN2, tol=tol)
@@ -232,6 +237,9 @@ def test_sweep_grid_validation():
     for bad in ([-1.0, 1.0], [0.5, math.nan], [0.5, math.inf]):
         with pytest.raises(ValueError, match="positive"):
             sweep(eig_hermitian(heis(2)), bad)
+    # numpy would run ["0.5", True] as the grid [0.5, 1.0]
+    with pytest.raises(ValueError, match="temperatures must be real numbers, got '0.5'"):
+        sweep(eig_hermitian(heis(2)), ["0.5", True])
 
 
 # ---------------------------------------------------------------------------
