@@ -13,7 +13,9 @@ Plenio, PRA 57, 1619 (1998)), certified by the separable state that dephases
 psi in its Schmidt basis, sigma* = sum_i lam_i |a_i b_i><a_i b_i|, for which
 S(psi||sigma*) = -sum_i lam_i ln lam_i. From three parties up the upper bound
 is a conditional-gradient (Frank-Wolfe) descent over the separable set whose
-linear oracle is the product-state optimizer ``closest_product_state``.
+linear oracle is a product-state search: over Bloch vectors
+(``_bloch_minimum``) when every site is a qubit, else over state vectors
+(``_alternating_minimum``, which ``closest_product_state`` also runs).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .models import CustomTerm, SpinModelSpec
+from .models import CustomTerm, checked_terms, site_count
 from .qops import (
     DensityOperator,
     EIG_CLAMP,
@@ -267,56 +269,125 @@ def _first_lowest(vals: np.ndarray) -> int:
     return int(np.argmax(vals <= lowest + 1e-12 * max(1.0, abs(lowest))))
 
 
-def _bloch_minimum(
-    terms: Sequence[CustomTerm],
-    n_sites: int,
-    rng: np.random.Generator,
-    restarts: int,
-) -> tuple[float, np.ndarray]:
-    """Lowest energy of qubit Pauli terms over product states found by
-    alternating site updates, with the Bloch vectors of the best start.
+def _pauli_coefficients(matrix: np.ndarray, n_sites: int) -> np.ndarray:
+    """c_P = tr(P A) / 2**n of a Hermitian A on n qubits, as a real (4,)*n
+    tensor whose axes follow the sites, each in the order (X, Y, Z, I), so
+    that A = sum_P c_P P. The matrix is reshaped into its n (bra, ket) site
+    pairs and each pair goes through one 4x4 map: entry (b, k) adds
+    P[k, b] / 2 to the coefficient of P on that site."""
+    site = np.array([[0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0],
+                     [0.5, 0, 0, -0.5], [0.5, 0, 0, 0.5]])
+    pairs = [ax for k in range(n_sites) for ax in (k, n_sites + k)]
+    out = matrix.reshape((2,) * (2 * n_sites)).transpose(pairs).reshape((4,) * n_sites)
+    for k in range(n_sites):
+        out = np.moveaxis(np.tensordot(site, out, axes=([1], [k])), 0, k)
+    return out.real
 
-    On a product state <P_1 x ... x P_k> is the product of the sites' Bloch
-    components, so the energy is affine in each site's Bloch vector r_k and
-    the best r_k given the rest is -g_k/|g_k|: the lowest eigenvector of the
-    effective 2x2 operator that ``_alternating_minimum`` finds by ``eigh``.
-    It draws the same starts, (a, b) -> (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2),
-    and keeps the same stopping rule and winner; a site with g_k = 0 keeps
-    its vector. The starts are rows of one (starts, n+1, 4) array whose
-    extra site row and axis column are 1s, which pad every term to the
-    longest; a site update is one gather, one product, one matmul with a
-    (terms on k) x 3 coefficient table and one normalization, and no 2**n
-    object is built. ``terms`` are as ``SpinModelSpec`` checks them: sites
-    in range, none repeated, labels from XYZ.
-    """
-    n = n_sites
-    pad = 4 * n + 3  # flat index of a constant 1
+
+def _turn(down: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of ``down``, the negated field -g, as a unit vector to
+    ``out``; a row with g = 0 leaves its vector as it was. Returns |g|."""
+    norm = np.sqrt(np.einsum("ij,ij->i", down, down))[:, None]
+    np.divide(down, norm, out=out, where=norm > 0)
+    return norm[:, 0]
+
+
+def _term_sweep(terms: Sequence[CustomTerm], n_sites: int):
+    """One pass of site updates of the sparse rule, as a function of the
+    (starts, n+1, 4) array that it updates and whose energies it returns:
+    a site update is one gather, one product and one matmul with a
+    (terms on k) x 3 coefficient table. The extra site row and the axis
+    column of 1s pad every term to the longest."""
+    pad = 4 * n_sites + 3  # flat index of a constant 1
     index = np.full((len(terms), max((len(t[0]) for t in terms), default=1)), pad)
     coeffs = np.array([coeff for _, _, coeff in terms], dtype=float)
     for t, (sites, labels, _) in enumerate(terms):
         index[t, :len(sites)] = [4 * s + "XYZ".index(p) for s, p in zip(sites, labels)]
     updates = []
-    for k in range(n):
+    for k in range(n_sites):
         t, slot = np.nonzero(index // 4 == k)  # a term holds site k at most once
         others = index[t]
         others[np.arange(t.size), slot] = pad
         table = np.zeros((t.size, 3))
         table[np.arange(t.size), index[t, slot] % 4] = -coeffs[t]  # a row sum is then -g_k
         updates.append((others, table))
+
+    def sweep(sub: np.ndarray) -> np.ndarray:
+        flat = sub.reshape(len(sub), -1)  # a view: site updates show through
+        for k, (others, table) in enumerate(updates):
+            _turn(flat[:, others].prod(axis=2) @ table, sub[:, k, :3])
+        return flat[:, index].prod(axis=2) @ coeffs
+
+    return sweep
+
+
+def _pauli_sweep(coeffs: np.ndarray):
+    """One pass of site updates of the dense rule on a ``_pauli_coefficients``
+    tensor, as a function of the (starts, n+1, 4) array that it updates and
+    whose energies it returns. The field on site k is one batched matmul:
+    the left environment, the Kronecker product of the updated (x, y, z, 1)
+    rows of the sites before k, times the right environment, the tensor
+    contracted with this pass's old rows of the sites after k. Extra memory
+    is O(starts * 4**(n-1)). The energy after the last site is g_0 - |g|,
+    identity coefficient included."""
+    n = coeffs.ndim
+    flat = coeffs.reshape(-1, 4)
+
+    def sweep(sub: np.ndarray) -> np.ndarray:
+        s = len(sub)
+        # right[k]: (starts, 4**k, 4), site k last; the last site's is the tensor itself
+        right = [flat]
+        for k in range(n - 1, 0, -1):
+            # the shared tensor goes to one plain matmul, not one per start
+            r = sub[:, k] @ flat.T if k == n - 1 else right[0] @ sub[:, k, :, None]
+            right.insert(0, r.reshape(s, -1, 4))
+        left = np.ones((s, 1, 1))
+        for k in range(n):
+            if k:
+                left = (left[:, 0, :, None] * sub[:, k - 1, None, :]).reshape(s, 1, -1)
+            g = (left @ right[k])[:, 0]
+            size = _turn(-g[:, :3], sub[:, k, :3])
+        return g[:, 3] - size
+
+    return sweep
+
+
+def _bloch_minimum(
+    model: Sequence[CustomTerm] | np.ndarray,
+    n_sites: int,
+    rng: np.random.Generator,
+    restarts: int,
+    warm: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Lowest energy of a qubit operator over product states found by
+    alternating site updates, with the Bloch vectors of the best start.
+
+    On a product state <P_1 x ... x P_k> is the product of the sites' Bloch
+    components, so the energy is affine in each site's Bloch vector r_k and
+    the best r_k given the rest is -g_k/|g_k|: the lowest eigenvector of the
+    effective 2x2 operator that ``_alternating_minimum`` finds by ``eigh``.
+    ``model`` is Pauli terms, as ``models.checked_terms`` returns them, read
+    by a sparse gather (``_term_sweep``), or a ``_pauli_coefficients`` tensor
+    (``_pauli_sweep``); no 2**n object is built for terms. The optional
+    ``warm`` (n, 3) Bloch vectors are the first start. It draws the same
+    random starts as ``_alternating_minimum``, (a, b) -> (2 Re a*b,
+    2 Im a*b, |a|^2 - |b|^2), and keeps the same stopping rule and winner; a
+    site with g_k = 0 keeps its vector. The starts are rows of one
+    (starts, n+1, 4) array of (x, y, z, 1) rows, the last row all 1s.
+    """
+    n = n_sites
+    sweep = _pauli_sweep(model) if isinstance(model, np.ndarray) else _term_sweep(model, n)
     a, b = np.moveaxis(np.array([_random_factors((2,) * n, rng) for _ in range(restarts)]), 2, 0)
     ab = a.conj() * b
-    bloch = np.ones((restarts, n + 1, 4))
-    bloch[:, :n, :3] = np.stack([2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=2)
-    vals = np.full(restarts, np.inf)
-    active = np.arange(restarts)
+    drawn = np.stack([2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=2)
+    starts = drawn if warm is None else np.concatenate([[warm], drawn])
+    bloch = np.ones((len(starts), n + 1, 4))
+    bloch[:, :n, :3] = starts
+    vals = np.full(len(starts), np.inf)
+    active = np.arange(len(starts))
     sub = bloch.copy()
     for _ in range(_MAX_ROUNDS):
-        flat = sub.reshape(active.size, -1)  # a view: site updates show through
-        for k, (others, table) in enumerate(updates):
-            down = flat[:, others].prod(axis=2) @ table
-            norm = np.sqrt(np.einsum("ij,ij->i", down, down))[:, None]
-            np.divide(down, norm, out=sub[:, k, :3], where=norm > 0)
-        energy = flat[:, index].prod(axis=2) @ coeffs
+        energy = sweep(sub)
         bloch[active] = sub
         # vals start at inf, so no start stops after its first pass
         moved = np.abs(energy - vals[active]) >= _STATIONARITY_TOL
@@ -358,9 +429,10 @@ def energy_witness(
 
     ``h`` is a dense operator, searched by ``_alternating_minimum``, or a
     qubit model as its Pauli terms and site count, ``(pauli_terms(spec),
-    spec.n_sites)``, checked as ``SpinModelSpec`` checks custom terms and
-    searched over Bloch vectors by ``_bloch_minimum`` with no dense matrix;
-    the same seed gives both the same starts. ``sep_min``
+    spec.n_sites)``, checked by ``models.site_count`` and
+    ``models.checked_terms`` (no dense-size cap) and searched over Bloch
+    vectors by ``_bloch_minimum`` with no dense matrix; the same seed gives
+    both the same starts. ``sep_min``
     is the lowest <H> reached by ``restarts`` local searches over product
     states. The true product minimum is, by convexity, also the
     separable-mixed-state minimum, and an energy below it proves
@@ -373,8 +445,8 @@ def energy_witness(
     if isinstance(h, HermitianOperator):
         sep_min, _ = _alternating_minimum(h.matrix, h.dims, rng, restarts)
     else:
-        spec = SpinModelSpec("custom_terms", h[1], custom_terms=tuple(h[0]))
-        sep_min, _ = _bloch_minimum(spec.custom_terms, spec.n_sites, rng, restarts)
+        n_sites = site_count(h[1])
+        sep_min, _ = _bloch_minimum(checked_terms(h[0], n_sites), n_sites, rng, restarts)
     return EnergyWitnessResult(sep_min=sep_min, entangled=bool(energy < sep_min - 1e-9))
 
 
@@ -427,7 +499,11 @@ def ree_upper_bound(
     size 2/(t+2) and best-iterate memory. Every iterate is separable, so the
     best objective seen is a valid upper bound even without convergence
     (``converged=False`` then). It converges once the duality gap falls
-    below ``_FW_GAP_TOL``.
+    below ``_FW_GAP_TOL``. When every site is a qubit the product state
+    comes from ``_bloch_minimum`` on the gradient's Pauli coefficients and
+    is built as kron_k (I + r_k . sigma)/2, else from
+    ``_alternating_minimum`` on the dense gradient; both draw the same starts
+    from the seed and warm-start from the previous atom.
     """
     cfg = config or FrankWolfeConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -436,17 +512,25 @@ def ree_upper_bound(
     tr_rho_ln_rho = -von_neumann_entropy(rho)
     sigma = (1.0 - _MIX_EPSILON) * np.eye(d) / d + _MIX_EPSILON * np.diag(np.diag(mat))
     best, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
-    warm: list[np.ndarray] | None = None
+    n = len(rho.dims)
+    qubits = set(rho.dims) == {2}
+    warm = None  # the previous atom: Bloch vectors on qubits, else factors
     converged = False
     iterations = 0
     # t starts at 1: gamma_1 = 2/3 keeps positive weight on the full-rank start
     for t in range(1, cfg.max_iter + 1):
         iterations = t
         # the product state maximizing tr(grad pi) minimizes tr(-grad pi)
-        _, factors = _alternating_minimum(-grad, rho.dims, rng, cfg.restarts, warm=warm)
-        warm = factors
-        atom = ProductStateAnsatz(factors=tuple(factors)).vector()
-        pi = np.outer(atom, atom.conj())
+        if qubits:
+            _, warm = _bloch_minimum(_pauli_coefficients(-grad, n), n, rng, cfg.restarts,
+                                     warm=warm)
+            pi = np.ones((1, 1))
+            for x, y, z in warm:  # pi = kron over k of (I + r_k . sigma) / 2
+                pi = np.kron(pi, np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2)
+        else:
+            _, warm = _alternating_minimum(-grad, rho.dims, rng, cfg.restarts, warm=warm)
+            atom = ProductStateAnsatz(factors=tuple(warm)).vector()
+            pi = np.outer(atom, atom.conj())
         gap = float(np.real(np.trace(grad @ (pi - sigma))))
         if gap < _FW_GAP_TOL:
             converged = True

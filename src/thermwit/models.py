@@ -51,6 +51,38 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} {value!r} is not a finite real number")
 
 
+def site_count(n_sites) -> int:
+    """A spin model's number of sites: an integer of at least 2."""
+    n = _integer(n_sites, "n_sites")
+    if n < 2:
+        raise ValueError("n_sites must be >= 2")
+    return n
+
+
+def checked_terms(terms, n_sites: int) -> tuple[CustomTerm, ...]:
+    """Pauli terms as (int sites, upper-case labels, float coefficient), after
+    the checks every term list passes: at least one term, each with as many
+    labels as sites, its sites distinct and in range(n_sites), its labels
+    from XYZ and its coefficient finite. ``n_sites`` is a ``site_count``.
+    ``SpinModelSpec`` and the term form of ``ent.energy_witness`` both call
+    it; only ``SpinModelSpec`` also caps the size of the dense Hamiltonian."""
+    if not terms:
+        raise ValueError("custom_terms model needs a nonempty custom_terms list")
+    terms = tuple((tuple(_integer(s, "term site") for s in sites), str(labels).upper(),
+                   _real(coeff, "term coefficient"))
+                  for sites, labels, coeff in terms)
+    for sites, labels, _ in terms:
+        if len(sites) != len(labels) or not sites:
+            raise ValueError(f"term sites {sites} do not match labels {labels!r}")
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"repeated site in term {sites}")
+        if any(s < 0 or s >= n_sites for s in sites):
+            raise ValueError(f"term site out of range: {sites}")
+        if any(c not in "XYZ" for c in labels):
+            raise ValueError(f"labels must be drawn from XYZ, got {labels!r}")
+    return terms
+
+
 @dataclass(frozen=True)
 class SpinModelSpec:
     kind: str
@@ -63,9 +95,7 @@ class SpinModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in SPIN_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {SPIN_KINDS}")
-        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites"))
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be >= 2")
+        object.__setattr__(self, "n_sites", site_count(self.n_sites))
         check_dense_size(2 ** min(self.n_sites, 64))  # 2**64 is over any cap; keeps the int small
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
@@ -78,21 +108,8 @@ class SpinModelSpec:
             if self.coupling != 1 or self.boundary != "open":
                 raise ValueError("custom_terms take their couplings and sites from the terms, "
                                  f"got coupling {self.coupling} and boundary {self.boundary!r}")
-            if not self.custom_terms:
-                raise ValueError("custom_terms model needs a nonempty custom_terms list")
-            terms = tuple((tuple(_integer(s, "term site") for s in sites), str(labels).upper(),
-                           _real(coeff, "term coefficient"))
-                          for sites, labels, coeff in self.custom_terms)
-            for sites, labels, _ in terms:
-                if len(sites) != len(labels) or not sites:
-                    raise ValueError(f"term sites {sites} do not match labels {labels!r}")
-                if len(set(sites)) != len(sites):
-                    raise ValueError(f"repeated site in term {sites}")
-                if any(s < 0 or s >= self.n_sites for s in sites):
-                    raise ValueError(f"term site out of range: {sites}")
-                if any(c not in "XYZ" for c in labels):
-                    raise ValueError(f"labels must be drawn from XYZ, got {labels!r}")
-            object.__setattr__(self, "custom_terms", terms)
+            object.__setattr__(self, "custom_terms",
+                               checked_terms(self.custom_terms, self.n_sites))
         elif self.custom_terms is not None:
             raise ValueError("custom_terms are only allowed with kind='custom_terms'")
 

@@ -222,6 +222,34 @@ def loop_alternating_minimum(matrix, dims, rng, restarts, warm=None):
     return best_val, best_factors
 
 
+def dense_frank_wolfe(rho: DensityOperator, cfg) -> float:
+    """Reference Frank-Wolfe upper bound: the start, steps, gap test, warm
+    starts, seeded draws and best-iterate memory of
+    ``thermwit.ent.ree_upper_bound``, with the dense oracle
+    ``_alternating_minimum`` on every state, qubits included."""
+    from thermwit.ent import (_FW_GAP_TOL, _MIX_EPSILON, ProductStateAnsatz,
+                              _alternating_minimum, _objective_and_gradient)
+    from thermwit.qops import von_neumann_entropy
+
+    rng = np.random.default_rng(cfg.seed)
+    d, mat = rho.dim, rho.matrix
+    tr_rho_ln_rho = -von_neumann_entropy(rho)
+    sigma = (1.0 - _MIX_EPSILON) * np.eye(d) / d + _MIX_EPSILON * np.diag(np.diag(mat))
+    best, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
+    factors = None
+    for t in range(1, cfg.max_iter + 1):
+        _, factors = _alternating_minimum(-grad, rho.dims, rng, cfg.restarts, warm=factors)
+        atom = ProductStateAnsatz(factors=tuple(factors)).vector()
+        pi = np.outer(atom, atom.conj())
+        if np.real(np.trace(grad @ (pi - sigma))) < _FW_GAP_TOL:
+            break
+        gamma = 2.0 / (t + 2.0)
+        sigma = (1.0 - gamma) * sigma + gamma * pi
+        objective, grad = _objective_and_gradient(mat, tr_rho_ln_rho, sigma)
+        best = min(best, objective)
+    return max(best, 0.0)
+
+
 def point_canonical(energies, temperature: float) -> dict:
     """Reference canonical quantities at one temperature, evaluated point by
     point from the identity S = -ln p + (U - E0)/T, with p = 1/(1 + rest)

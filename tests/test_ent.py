@@ -27,7 +27,7 @@ from thermwit import (
 )
 from thermwit import ent
 from thermwit.ent import (ProductStateAnsatz, _alternating_minimum, _bloch_minimum,
-                          _objective_and_gradient)
+                          _objective_and_gradient, _pauli_coefficients)
 from thermwit.models import pauli_terms
 from conftest import (
     LN2,
@@ -36,9 +36,11 @@ from conftest import (
     SZ,
     bell_pure,
     bloch_grid_extreme,
+    dense_frank_wolfe,
     ghz_pure,
     loop_alternating_minimum,
     loop_cut_entropies,
+    pauli_string,
     random_pure,
     w_pure,
 )
@@ -348,6 +350,36 @@ def test_three_party_bounds_run_frank_wolfe():
         fw.method, fw.iterations, fw.converged)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qubit_frank_wolfe_matches_the_dense_oracle_reference(n, monkeypatch):
+    # the Bloch search and the dense oracle start from the same product
+    # states, so every atom, step and best iterate agrees
+    rng = np.random.default_rng([5, n])
+    for max_iter in range(6):
+        rho = random_pure(rng, (2,) * n).to_density()
+        cfg = FrankWolfeConfig(max_iter=max_iter, restarts=3, seed=int(rng.integers(2**32)))
+        reference = dense_frank_wolfe(rho, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(ent, "_alternating_minimum", None)  # qubits never reach it
+            est = ree_upper_bound(rho, cfg)
+        assert abs(est.upper - reference) <= 1e-9
+
+
+def test_frank_wolfe_on_a_qutrit_runs_the_dense_oracle(monkeypatch, rng):
+    calls = []
+
+    def recording(matrix, dims, *rest, **kw):
+        calls.append(dims)
+        return _alternating_minimum(matrix, dims, *rest, **kw)
+
+    monkeypatch.setattr(ent, "_alternating_minimum", recording)
+    monkeypatch.setattr(ent, "_bloch_minimum", None)
+    psi = random_pure(rng, (2, 3))
+    upper = ree_upper_bound(psi.to_density(), FrankWolfeConfig(max_iter=4, restarts=2))
+    assert calls and set(calls) == {(2, 3)}
+    assert ree_lower_bound(psi).lower <= upper.upper + 1e-9
+
+
 def test_log_gradient_matches_finite_difference(rng):
     # directional derivative of tr(rho ln sigma), including a degenerate sigma
     rho = bell_pure().to_density().matrix
@@ -471,6 +503,12 @@ def test_oracle_breaks_round_off_ties_by_the_lowest_start(delta):
         assert np.abs(f[winner]) == 1.0 and f[1 - winner] == 0
 
 
+def _bloch(factor: np.ndarray) -> list[float]:
+    """The Bloch vector of a unit qubit state (a, b)."""
+    a, b = factor
+    return [2 * (a.conj() * b).real, 2 * (a.conj() * b).imag, abs(a) ** 2 - abs(b) ** 2]
+
+
 def _bloch_energy(h: np.ndarray, bloch: np.ndarray) -> float:
     """<H> on the product of the one-site states (I + r.sigma)/2."""
     rho = np.ones((1, 1))
@@ -522,9 +560,81 @@ def test_bloch_search_keeps_the_start_of_an_idle_site():
     spec = SpinModelSpec(kind="custom_terms", n_sites=4, custom_terms=terms)
     _assert_bloch_search_matches_dense(spec, seed=9, restarts=6)
     _, bloch = _bloch_minimum(terms, 4, np.random.default_rng(9), 1)
-    a, b = ent._random_factors((2,) * 4, np.random.default_rng(9))[2]
-    start = [2 * (a.conj() * b).real, 2 * (a.conj() * b).imag, abs(a) ** 2 - abs(b) ** 2]
+    start = _bloch(ent._random_factors((2,) * 4, np.random.default_rng(9))[2])
     assert np.allclose(bloch[2], start, rtol=0, atol=1e-15)  # the vector it started with
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_expansion_rebuilds_the_matrix(n, rng):
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    matrix = a + a.conj().T
+    coeffs = _pauli_coefficients(matrix, n)
+    assert coeffs.shape == (4,) * n and coeffs.dtype == float
+    rebuilt = sum(coeffs[idx] * pauli_string(n, range(n), "".join("XYZI"[i] for i in idx))
+                  for idx in np.ndindex(coeffs.shape))
+    assert np.abs(rebuilt - matrix).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    restarts=st.integers(1, 8),
+    with_warm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pauli_bloch_search_matches_the_dense_oracle(n, restarts, with_warm, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    matrix = a + a.conj().T
+    warm = warm_bloch = None
+    if with_warm:
+        draws = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        warm = [v / np.linalg.norm(v) for v in draws]
+        warm_bloch = [_bloch(f) for f in warm]
+    # the same seed gives both searches the same starts
+    value, bloch = _bloch_minimum(_pauli_coefficients(matrix, n), n, np.random.default_rng(seed),
+                                  restarts, warm=warm_bloch)
+    dense, _ = _alternating_minimum(matrix, (2,) * n, np.random.default_rng(seed), restarts,
+                                    warm=warm)
+    assert abs(value - dense) <= 1e-9
+    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert abs(_bloch_energy(matrix, bloch) - value) <= 1e-10
+
+
+def test_energy_witness_terms_have_no_dense_size_cap():
+    # SpinModelSpec refuses 16 sites (its dense Hamiltonian would need 64 GiB);
+    # the term search builds nothing of size 2**n and finds the Neel state
+    with pytest.raises(MemoryError, match="cap"):
+        SpinModelSpec(kind="heisenberg", n_sites=16, boundary="periodic")
+    ring = [((i, (i + 1) % 16), p + p, 1.0) for i in range(16) for p in "XYZ"]
+    res = energy_witness((ring, 16), energy=-20.0)
+    assert abs(res.sep_min + 16.0) <= 1e-8
+    assert res.entangled
+
+
+@pytest.mark.parametrize("terms, n_sites, message", [
+    ([((0, 2), "ZZ", 1.0)], 2, "out of range"),
+    ([((0, 5), "XX", 1.0)], 2, "out of range"),
+    ([((0, -1), "XX", 1.0)], 2, "out of range"),
+    ([((0,), "W", 1.0)], 2, "XYZ"),
+    ([((0,), "X", math.nan)], 2, "finite"),
+    ([((0,), "X", math.inf)], 2, "finite"),
+    ([((0,), "X", "0.5")], 2, "term coefficient '0.5' is not a finite real number"),
+    ([((0,), "X", True)], 2, "not a finite real number"),
+    ([], 2, "nonempty custom_terms"),
+    ([((0, 1), "X", 1.0)], 2, "do not match"),
+    ([((), "", 1.0)], 2, "do not match"),
+    ([((0, 0), "XX", 1.0)], 2, "repeated site"),
+    ([((1.0,), "Z", 1.0)], 2, "is not an integer"),
+    ([((0,), "Z", 1.0)], 1, "n_sites must be >= 2"),
+    ([((0,), "Z", 1.0)], 2.0, "n_sites 2.0 is not an integer"),
+])
+def test_bad_terms_raise_for_a_model_and_the_energy_witness(terms, n_sites, message):
+    # one function checks both; only the model caps the dense size
+    with pytest.raises(ValueError, match=message):
+        SpinModelSpec(kind="custom_terms", n_sites=n_sites, custom_terms=tuple(terms))
+    with pytest.raises(ValueError, match=message):
+        energy_witness((terms, n_sites), energy=0.0)
 
 
 def test_energy_witness_takes_a_dense_operator_or_its_terms():
@@ -538,11 +648,6 @@ def test_energy_witness_takes_a_dense_operator_or_its_terms():
                               restarts=3, seed=3).entangled
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         energy_witness((pauli_terms(spec), 3), energy=-1.4, restarts=0)
-    # the terms are checked as a model's are: XX on one site is not x**2
-    with pytest.raises(ValueError, match="repeated site"):
-        energy_witness(([((0, 0), "XX", 1.0)], 2), energy=0.0)
-    with pytest.raises(ValueError, match="out of range"):
-        energy_witness(([((0, 2), "ZZ", 1.0)], 2), energy=0.0)
 
 
 def test_restarts_below_one_rejected():
