@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,8 +52,11 @@ _MIX_EPSILON = 1e-3
 _STATIONARITY_TOL = 1e-10
 _MAX_ROUNDS = 200
 
-#: Frank-Wolfe stops once its duality gap falls below this.
+#: Frank-Wolfe stops once its duality gap falls below this. Every iterate
+#: is separable, so the true gap is never negative; an oracle atom whose gap
+#: lies below -_FW_MISS_TOL proves that the search missed the maximizer.
 _FW_GAP_TOL = 1e-4
+_FW_MISS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ class EntanglementEstimate:
     method: str  # pure_bipartite_exact | max_cut_lower | frank_wolfe_upper
     iterations: int
     converged: bool
+    misses: int = 0  # Frank-Wolfe iterations whose oracle atom had a negative gap
 
     def __post_init__(self) -> None:
         upper = math.inf if self.upper is None else self.upper
@@ -226,18 +230,38 @@ def _alternating_minimum(
     advance together as one stacked batch (one matmul and one batched eigh
     per site), and each leaves the batch on its own stopping rule; extra
     memory is O(starts * d * max d_k). Each site update goes to ``factors``
-    as it is made; ``sub`` keeps the active rows. The first start within
-    relative 1e-12 of the lowest value wins, whatever the contraction order.
+    as it is made; ``sub`` keeps the active rows. After a pass a start in a
+    slow tail tries the extrapolated step of ``_extrapolated``: on each
+    site the top eigenvector of (1+alpha) P_k - alpha P_k', with P_k the
+    projector on the factor after the pass and P_k' before it, which on a
+    qubit is the normalized Bloch vector r_k + alpha (r_k - r_k'), the step
+    of ``_bloch_minimum``. The first start within relative 1e-12 of the
+    lowest value wins, whatever the contraction order.
     """
     starts = [] if warm is None else [list(warm)]
     starts.extend(_random_factors(dims, rng) for _ in range(restarts))
     factors = [np.array([s[k] for s in starts], dtype=complex) for k in range(len(dims))]
     vals = np.full(len(starts), np.inf)
     active = np.arange(len(starts))
-    sub = list(factors)  # sub[k] is rebound, never written
+    # the active starts' values, and what their last pass's site updates lowered them by
+    prev, fell = vals.copy(), vals.copy()
+    sub = [f.copy() for f in factors]  # copies: site updates write to factors, old keeps these
     eyes = [np.eye(dk)[:, None, :, None] for dk in dims]
-    for _ in range(_MAX_ROUNDS):
+
+    def trial(alpha: float):
+        # each start's trial factors, and its <v|A|v>; old: this pass's factors before it
+        out = []
+        v = np.ones((active.size, 1))
+        for f, g in zip(sub, old):
+            mixed = ((1 + alpha) * f[:, :, None] * f[:, None, :].conj()
+                     - alpha * g[:, :, None] * g[:, None, :].conj())
+            out.append(np.linalg.eigh(mixed)[1][:, :, -1])
+            v = (v[:, :, None] * out[-1][:, None, :]).reshape(active.size, -1)
+        return out, np.einsum("si,si->s", v.conj() @ matrix, v).real
+
+    for rounds in range(1, _MAX_ROUNDS + 1):
         s = active.size
+        old = list(sub)
         # right[k]: rows kron(f_{k+1}, ..., f_{n-1}) of this pass's old factors
         right = [np.ones((s, 1))]
         for f in reversed(sub[1:]):
@@ -251,22 +275,61 @@ def _alternating_minimum(
             w, vecs = np.linalg.eigh(bra @ basis.transpose(0, 2, 1))
             sub[k] = factors[k][active] = vecs[:, :, 0]
             left = (left[:, :, None] * sub[k][:, None, :]).reshape(s, -1)
-        # vals start at inf, so no start stops after its first pass
-        moved = np.abs(w[:, 0] - vals[active]) >= _STATIONARITY_TOL
-        vals[active] = w[:, 0]
+        value = w[:, 0]
+        fall = prev - value
+        keep, points = _extrapolated(rounds, fall, fell, value, trial)
+        if points is not None:
+            for k, f in enumerate(points):
+                sub[k][keep] = factors[k][active[keep]] = f[keep]
+        # prev starts at inf, so no start stops after its first pass
+        moved = np.abs(value - prev) >= _STATIONARITY_TOL
+        prev, fell = value, fall
         if not moved.all():
-            active = active[moved]
+            vals[active] = prev
+            active, prev, fell = active[moved], prev[moved], fell[moved]
             sub = [g[moved] for g in sub]
             if not active.size:
                 break
+    vals[active] = prev
     best = _first_lowest(vals)
     return float(vals[best]), [f[best].copy() for f in factors]
+
+
+def _margin(value: np.ndarray | float) -> np.ndarray | float:
+    """The winner rule's margin: relative 1e-12, absolute below |value| = 1."""
+    return 1e-12 * np.maximum(1.0, np.abs(value))
 
 
 def _first_lowest(vals: np.ndarray) -> int:
     """The first start whose value lies within relative 1e-12 of the lowest."""
     lowest = vals.min()
-    return int(np.argmax(vals <= lowest + 1e-12 * max(1.0, abs(lowest))))
+    return int(np.argmax(vals <= lowest + _margin(lowest)))
+
+
+def _extrapolated(rounds: int, fall: np.ndarray, fell: np.ndarray, energy: np.ndarray,
+                  trial: Callable[[float], tuple[Any, np.ndarray]]) -> tuple[np.ndarray, Any]:
+    """The extrapolated step that both product-state searches take after
+    pass ``rounds``, an accept-if-lower rule (Bro's alpha = rounds**(1/3);
+    Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008)).
+
+    A start whose site updates lowered its value in this pass by more than
+    half of what they lowered it in the pass before (``fall`` against
+    ``fell``; the extrapolated step does not count) is in a slow linear
+    tail, and only such a start may move. ``trial(alpha)`` returns the
+    trial points of every start and the energies there; a start in the
+    tail keeps its trial point where that energy lies below its own by more
+    than the winner rule's margin. The kept starts' ``energy`` is
+    overwritten in place, and the mask of kept starts and the trial points
+    are returned (no points when no start is in the tail). The step is zero
+    at a stationary point.
+    """
+    tail = fall > 0.5 * fell
+    if not tail.any():
+        return tail, None
+    points, values = trial(rounds ** (1 / 3))
+    keep = tail & (values < energy - _margin(energy))
+    np.copyto(energy, values, where=keep)
+    return keep, points
 
 
 def _pauli_coefficients(matrix: np.ndarray, n_sites: int) -> np.ndarray:
@@ -294,10 +357,11 @@ def _turn(down: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _term_sweep(terms: Sequence[CustomTerm], n_sites: int):
     """One pass of site updates of the sparse rule, as a function of the
-    (starts, n+1, 4) array that it updates and whose energies it returns:
-    a site update is one gather, one product and one matmul with a
-    (terms on k) x 3 coefficient table. The extra site row and the axis
-    column of 1s pad every term to the longest."""
+    (starts, n+1, 4) array that it updates and whose energies it returns,
+    and the energy function of such an array: a site update is one gather,
+    one product and one matmul with a (terms on k) x 3 coefficient table.
+    The extra site row and the axis column of 1s pad every term to the
+    longest."""
     pad = 4 * n_sites + 3  # flat index of a constant 1
     index = np.full((len(terms), max((len(t[0]) for t in terms), default=1)), pad)
     coeffs = np.array([coeff for _, _, coeff in terms], dtype=float)
@@ -312,35 +376,47 @@ def _term_sweep(terms: Sequence[CustomTerm], n_sites: int):
         table[np.arange(t.size), index[t, slot] % 4] = -coeffs[t]  # a row sum is then -g_k
         updates.append((others, table))
 
+    def energy(sub: np.ndarray) -> np.ndarray:
+        return sub.reshape(len(sub), -1)[:, index].prod(axis=2) @ coeffs
+
     def sweep(sub: np.ndarray) -> np.ndarray:
         flat = sub.reshape(len(sub), -1)  # a view: site updates show through
         for k, (others, table) in enumerate(updates):
             _turn(flat[:, others].prod(axis=2) @ table, sub[:, k, :3])
-        return flat[:, index].prod(axis=2) @ coeffs
+        return energy(sub)
 
-    return sweep
+    return sweep, energy
 
 
 def _pauli_sweep(coeffs: np.ndarray):
     """One pass of site updates of the dense rule on a ``_pauli_coefficients``
     tensor, as a function of the (starts, n+1, 4) array that it updates and
-    whose energies it returns. The field on site k is one batched matmul:
-    the left environment, the Kronecker product of the updated (x, y, z, 1)
-    rows of the sites before k, times the right environment, the tensor
-    contracted with this pass's old rows of the sites after k. Extra memory
-    is O(starts * 4**(n-1)). The energy after the last site is g_0 - |g|,
-    identity coefficient included."""
+    whose energies it returns, and the energy function of such an array.
+    The field on site k is one batched matmul: the left environment, the
+    Kronecker product of the updated (x, y, z, 1) rows of the sites before
+    k, times the right environment, the tensor contracted with this pass's
+    old rows of the sites after k. Extra memory is O(starts * 4**(n-1)).
+    The energy after the last site is g_0 - |g|, identity coefficient
+    included, which holds only after an exact last-site update; the energy
+    function contracts the whole tensor."""
     n = coeffs.ndim
     flat = coeffs.reshape(-1, 4)
 
-    def sweep(sub: np.ndarray) -> np.ndarray:
-        s = len(sub)
+    def environments(sub: np.ndarray) -> list[np.ndarray]:
         # right[k]: (starts, 4**k, 4), site k last; the last site's is the tensor itself
         right = [flat]
         for k in range(n - 1, 0, -1):
             # the shared tensor goes to one plain matmul, not one per start
             r = sub[:, k] @ flat.T if k == n - 1 else right[0] @ sub[:, k, :, None]
-            right.insert(0, r.reshape(s, -1, 4))
+            right.insert(0, r.reshape(len(sub), -1, 4))
+        return right
+
+    def energy(sub: np.ndarray) -> np.ndarray:
+        return (environments(sub)[0] @ sub[:, 0, :, None])[:, 0, 0]
+
+    def sweep(sub: np.ndarray) -> np.ndarray:
+        s = len(sub)
+        right = environments(sub)
         left = np.ones((s, 1, 1))
         for k in range(n):
             if k:
@@ -349,7 +425,7 @@ def _pauli_sweep(coeffs: np.ndarray):
             size = _turn(-g[:, :3], sub[:, k, :3])
         return g[:, 3] - size
 
-    return sweep
+    return sweep, energy
 
 
 def _bloch_minimum(
@@ -372,11 +448,16 @@ def _bloch_minimum(
     ``warm`` (n, 3) Bloch vectors are the first start. It draws the same
     random starts as ``_alternating_minimum``, (a, b) -> (2 Re a*b,
     2 Im a*b, |a|^2 - |b|^2), and keeps the same stopping rule and winner; a
-    site with g_k = 0 keeps its vector. The starts are rows of one
-    (starts, n+1, 4) array of (x, y, z, 1) rows, the last row all 1s.
+    site with g_k = 0 keeps its vector. After a pass a start in a slow tail
+    tries the extrapolated step of ``_extrapolated``, the Bloch vectors
+    r_k + alpha (r_k - r_k') normalized on each site, with r_k' those
+    before the pass, scored by the sweep's energy function. The starts are
+    rows of one (starts, n+1, 4) array of (x, y, z, 1) rows, the last row
+    all 1s.
     """
     n = n_sites
-    sweep = _pauli_sweep(model) if isinstance(model, np.ndarray) else _term_sweep(model, n)
+    sweep, energy = (_pauli_sweep(model) if isinstance(model, np.ndarray)
+                     else _term_sweep(model, n))
     a, b = np.moveaxis(np.array([_random_factors((2,) * n, rng) for _ in range(restarts)]), 2, 0)
     ab = a.conj() * b
     drawn = np.stack([2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=2)
@@ -386,17 +467,32 @@ def _bloch_minimum(
     vals = np.full(len(starts), np.inf)
     active = np.arange(len(starts))
     sub = bloch.copy()
-    for _ in range(_MAX_ROUNDS):
-        energy = sweep(sub)
-        bloch[active] = sub
-        # vals start at inf, so no start stops after its first pass
-        moved = np.abs(energy - vals[active]) >= _STATIONARITY_TOL
-        vals[active] = energy
+    # the active starts' values, and what their last pass's site updates lowered them by
+    prev, fell = vals.copy(), vals.copy()
+
+    def trial(alpha: float):
+        points = sub.copy()  # old: this pass's Bloch vectors before it
+        step = points[:, :n, :3] + alpha * (points[:, :n, :3] - old)
+        size = np.sqrt(np.einsum("skc,skc->sk", step, step))  # at least 1
+        points[:, :n, :3] = step / size[:, :, None]
+        return points, energy(points)
+
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        old = sub[:, :n, :3].copy()
+        value = sweep(sub)
+        fall = prev - value
+        keep, points = _extrapolated(rounds, fall, fell, value, trial)
+        if points is not None:
+            sub[keep] = points[keep]
+        # prev starts at inf, so no start stops after its first pass
+        moved = np.abs(value - prev) >= _STATIONARITY_TOL
+        prev, fell = value, fall
         if not moved.all():
-            active = active[moved]
-            sub = sub[moved]
+            bloch[active], vals[active] = sub, prev
+            active, sub, prev, fell = active[moved], sub[moved], prev[moved], fell[moved]
             if not active.size:
                 break
+    bloch[active], vals[active] = sub, prev
     best = _first_lowest(vals)
     return float(vals[best]), bloch[best, :n, :3]
 
@@ -498,8 +594,11 @@ def ree_upper_bound(
     the product pure state that maximizes the linearized objective, with step
     size 2/(t+2) and best-iterate memory. Every iterate is separable, so the
     best objective seen is a valid upper bound even without convergence
-    (``converged=False`` then). It converges once the duality gap falls
-    below ``_FW_GAP_TOL``. When every site is a qubit the product state
+    (``converged=False`` then). It converges once the duality gap lies in
+    [-_FW_MISS_TOL, _FW_GAP_TOL). The true gap is never negative, so a gap
+    below -_FW_MISS_TOL means the oracle missed the maximizer: that
+    iteration takes no step, counts in ``misses`` and does not end the
+    loop. When every site is a qubit the product state
     comes from ``_bloch_minimum`` on the gradient's Pauli coefficients and
     is built as kron_k (I + r_k . sigma)/2, else from
     ``_alternating_minimum`` on the dense gradient; both draw the same starts
@@ -516,7 +615,7 @@ def ree_upper_bound(
     qubits = set(rho.dims) == {2}
     warm = None  # the previous atom: Bloch vectors on qubits, else factors
     converged = False
-    iterations = 0
+    iterations = misses = 0
     # t starts at 1: gamma_1 = 2/3 keeps positive weight on the full-rank start
     for t in range(1, cfg.max_iter + 1):
         iterations = t
@@ -532,6 +631,9 @@ def ree_upper_bound(
             atom = ProductStateAnsatz(factors=tuple(warm)).vector()
             pi = np.outer(atom, atom.conj())
         gap = float(np.real(np.trace(grad @ (pi - sigma))))
+        if gap < -_FW_MISS_TOL:
+            misses += 1
+            continue
         if gap < _FW_GAP_TOL:
             converged = True
             break
@@ -545,6 +647,7 @@ def ree_upper_bound(
         method="frank_wolfe_upper",
         iterations=iterations,
         converged=converged,
+        misses=misses,
     )
 
 

@@ -214,7 +214,20 @@ def test_upper_bound_separable_state():
     rho = DensityOperator(np.eye(4) / 4, (2, 2))
     est = ree_upper_bound(rho)
     assert est.upper <= 1e-3
-    assert est.converged
+    assert est.converged and est.misses == 0
+
+
+def test_an_oracle_miss_takes_no_step_and_does_not_converge(monkeypatch):
+    # an oracle that returns the product state minimizing tr(grad pi), the
+    # worst atom, makes every duality gap negative
+    bloch_minimum = ent._bloch_minimum
+    monkeypatch.setattr(ent, "_bloch_minimum",
+                        lambda coeffs, *rest, **kw: bloch_minimum(-coeffs, *rest, **kw))
+    psi = ghz_pure()
+    est = ree_upper_bound(psi.to_density(), FrankWolfeConfig(max_iter=7, restarts=2, seed=3))
+    assert not est.converged
+    assert est.iterations == est.misses == 7
+    assert est.upper >= ree_lower_bound(psi).lower
 
 
 def test_upper_bound_bell_near_exact(monkeypatch):
@@ -599,6 +612,95 @@ def test_pauli_bloch_search_matches_the_dense_oracle(n, restarts, with_warm, see
     assert abs(value - dense) <= 1e-9
     assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-12)
     assert abs(_bloch_energy(matrix, bloch) - value) <= 1e-10
+
+
+def _tensor_energies(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The energy of each (n+1, 4) array of (x, y, z, 1) rows of ``rows``,
+    by one einsum over the whole tensor."""
+    n = coeffs.ndim
+    operands = [coeffs, list(range(n))]
+    for k in range(n):
+        operands += [rows[:, k], [n, k]]
+    return np.einsum(*operands, [n])
+
+
+def _fields(coeffs: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """g_k, the gradient of the energy in site k's Bloch vector, for each k."""
+    n = coeffs.ndim
+    rows = np.hstack([bloch, np.ones((n, 1))])
+    out = []
+    for k in range(n):
+        operands = [coeffs, list(range(n))]
+        for j in range(n):
+            if j != k:
+                operands += [rows[j], [j]]
+        out.append(np.einsum(*operands, [k])[:3])
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 6),
+    restarts=st.integers(1, 8),
+    with_warm=st.booleans(),
+    with_terms=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extrapolated_bloch_search_only_descends(n, restarts, with_warm, with_terms, seed):
+    rng = np.random.default_rng(seed)
+    if with_terms:
+        model = []
+        for _ in range(int(rng.integers(1, 3 * n))):
+            sites = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+            labels = "".join(rng.choice(list("XYZ"), size=sites.size))
+            model.append((tuple(sites.tolist()), labels, float(rng.normal())))
+        matrix = sum(c * pauli_string(n, sites, labels) for sites, labels, c in model)
+        spied = "_term_sweep"
+    else:
+        a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        matrix = a + a.conj().T
+        spied = "_pauli_sweep"
+    coeffs = _pauli_coefficients(matrix, n)
+    if not with_terms:
+        model = coeffs
+    warm = None
+    if with_warm:
+        warm = rng.normal(size=(n, 3))
+        warm /= np.linalg.norm(warm, axis=1, keepdims=True)
+    # each pass: the array the sweep updates in place, its exact energies
+    # before the sweep, the energies the sweep returns, and its exact
+    # energies once the extrapolated step has run (read at the next pass)
+    passes = []
+
+    def close_last_pass():
+        if passes:
+            passes[-1].append(_tensor_energies(coeffs, passes[-1][0]))
+
+    def spying(*args):
+        sweep, energy = real(*args)
+
+        def spy(sub):
+            close_last_pass()
+            before = _tensor_energies(coeffs, sub)
+            passes.append([sub, before, sweep(sub)])
+            return passes[-1][2].copy()
+
+        return spy, energy
+
+    real = getattr(ent, spied)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ent, spied, spying)
+        value, bloch = _bloch_minimum(model, n, np.random.default_rng(seed), restarts, warm=warm)
+    close_last_pass()
+    for _, before, swept, after in passes:
+        scale = 1e-11 * np.maximum(1.0, np.abs(before))
+        assert np.all(swept <= before + scale)  # site updates only descend
+        assert np.all(after <= swept + scale)  # a kept trial lies lower
+    assert abs(_bloch_energy(matrix, bloch) - value) <= 1e-10
+    # stationary: r_k = -g_k/|g_k| wherever g_k is not zero up to round-off
+    for r, g in zip(bloch, _fields(coeffs, bloch)):
+        if np.linalg.norm(g) > 1e-9:
+            assert np.linalg.norm(r + g / np.linalg.norm(g)) <= 1e-4
 
 
 def test_energy_witness_terms_have_no_dense_size_cap():
